@@ -14,7 +14,13 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from .core import Packet
+from .core import ConfigurationError, Packet
+
+
+def _check_delay(lo: int, hi: int) -> None:
+    # a delivery is never earlier than the step after the send
+    if not 1 <= lo <= hi:
+        raise ConfigurationError(f"delay needs 1 <= min <= max, got {lo}:{hi}")
 
 
 @dataclass(frozen=True)
@@ -22,6 +28,10 @@ class Timely:
     """Every packet delivered within `bound` steps of the send."""
 
     bound: int
+
+    def __post_init__(self) -> None:
+        if self.bound < 1:
+            raise ConfigurationError(f"bound must be >= 1, got {self.bound}")
 
 
 @dataclass(frozen=True)
@@ -35,6 +45,12 @@ class EventuallyTimely:
     bound: int
     unreliable_until: int = 0
 
+    def __post_init__(self) -> None:
+        if self.bound < 1:
+            raise ConfigurationError(f"bound must be >= 1, got {self.bound}")
+        if self.unreliable_until < 0:
+            raise ConfigurationError(f"until must be >= 0, got {self.unreliable_until}")
+
 
 @dataclass(frozen=True)
 class DropPattern:
@@ -42,12 +58,20 @@ class DropPattern:
 
     drop: int
 
+    def __post_init__(self) -> None:
+        if self.drop < 0:
+            raise ConfigurationError(f"drop must be >= 0, got {self.drop}")
+
 
 @dataclass(frozen=True)
 class DeliverProb:
     """Deliver each packet independently with probability q > 0."""
 
     q: float
+
+    def __post_init__(self) -> None:
+        if not 0 < self.q <= 1:
+            raise ConfigurationError(f"q must lie in (0, 1], got {self.q}")
 
 
 @dataclass(frozen=True)
@@ -61,6 +85,9 @@ class FairLossy:
     policy: DropPattern | DeliverProb
     delay_min: int = 1
     delay_max: int = 8
+
+    def __post_init__(self) -> None:
+        _check_delay(self.delay_min, self.delay_max)
 
 
 @dataclass(frozen=True)
@@ -79,6 +106,15 @@ class StronglyNonTimely:
     delay_min: int = 1
     delay_max: int = 8
     quiet_until: int = 0
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.burst <= self.window_cap:
+            raise ConfigurationError(
+                f"burst and cap need 1 <= burst <= cap, got {self.burst}, {self.window_cap}"
+            )
+        _check_delay(self.delay_min, self.delay_max)
+        if self.quiet_until < 0:
+            raise ConfigurationError(f"quiet must be >= 0, got {self.quiet_until}")
 
 
 @dataclass(frozen=True)
@@ -212,51 +248,52 @@ class ChannelSpecError(ValueError):
 
 
 def model_from_spec(spec: str) -> ChannelModel:
-    """Parse the textual channel form; inverse of model_to_spec."""
-    parts = spec.split()
-    if not parts:
-        raise ChannelSpecError("empty channel spec")
-    name, args = parts[0], {}
-    for part in parts[1:]:
-        if "=" not in part:
-            raise ChannelSpecError(f"expected key=value, got {part!r} in {spec!r}")
-        key, val = part.split("=", 1)
+    """Parse the textual channel form; inverse of model_to_spec.
+
+    An omitted optional key keeps the model's field default.
+    """
+    try:
+        return _model_from_words(spec.split())
+    except ValueError as exc:  # malformed text, a bad number, or a bad parameter
+        raise ChannelSpecError(f"{exc} in {spec!r}") from None
+
+
+def _model_from_words(words: list[str]) -> ChannelModel:
+    if not words:
+        raise ValueError("empty channel spec")
+    name, args = words[0], {}
+    for word in words[1:]:
+        key, eq, val = word.partition("=")
+        if not eq:
+            raise ValueError(f"expected key=value, got {word!r}")
         args[key] = val
 
-    def intarg(key, default=None):
-        if key not in args:
-            if default is None:
-                raise ChannelSpecError(f"{name!r} needs {key}= in {spec!r}")
-            return default
-        return int(args[key])
+    def ints(**keys: str) -> dict[str, int]:
+        """Field values for the spec keys present: field name -> spec key."""
+        return {f: int(args[k]) for f, k in keys.items() if k in args}
 
-    def delayargs():
-        raw = args.get("delay")
-        if raw is None:
-            return 1, 8
-        lo, _, hi = raw.partition(":")
-        return int(lo), int(hi or lo)
+    def delay() -> dict[str, int]:
+        if "delay" not in args:
+            return {}
+        lo, _, hi = args["delay"].partition(":")
+        return {"delay_min": int(lo), "delay_max": int(hi or lo)}
 
+    if name in ("timely", "eventually_timely") and "b" not in args:
+        raise ValueError(f"{name!r} needs b=")
     if name == "timely":
-        return Timely(bound=intarg("b"))
+        return Timely(**ints(bound="b"))
     if name == "eventually_timely":
-        return EventuallyTimely(bound=intarg("b"), unreliable_until=intarg("until", 0))
+        return EventuallyTimely(**ints(bound="b", unreliable_until="until"))
     if name == "fair_lossy":
-        lo, hi = delayargs()
         if "drop" in args:
-            return FairLossy(DropPattern(int(args["drop"])), lo, hi)
+            return FairLossy(DropPattern(int(args["drop"])), **delay())
         if "q" in args:
-            return FairLossy(DeliverProb(float(args["q"])), lo, hi)
-        raise ChannelSpecError(f"fair_lossy needs drop= or q= in {spec!r}")
+            return FairLossy(DeliverProb(float(args["q"])), **delay())
+        raise ValueError("fair_lossy needs drop= or q=")
     if name == "strongly_non_timely":
-        lo, hi = delayargs()
         return StronglyNonTimely(
-            burst=intarg("burst", 8),
-            window_cap=intarg("cap", 256),
-            delay_min=lo,
-            delay_max=hi,
-            quiet_until=intarg("quiet", 0),
+            **ints(burst="burst", window_cap="cap", quiet_until="quiet"), **delay()
         )
     if name == "lossy":
         return Lossy()
-    raise ChannelSpecError(f"unknown channel model {name!r}")
+    raise ValueError(f"unknown channel model {name!r}")

@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 import sys
+from typing import NoReturn
 
 from . import __version__
 from .audit import audit_report
@@ -25,13 +26,18 @@ from .montecarlo import (
     mc_stability,
     stability_sweep,
 )
-from .netsim import ScenarioError, preset_dependable, run
-from .scenario_io import ScenarioParseError, dump_scenario_file, parse_scenario_file
-from .trace import TraceFormatError, read_trace_file, write_trace_file
+from .netsim import ScenarioError, preset_dependable, run, validate_scenario
+from .scenario_io import dump_scenario_file, parse_scenario_file
+from .trace import LeaderChange, TraceFormatError, read_trace_file, write_trace_file
 
 EXIT_OK = 0
 EXIT_AUDIT_FAIL = 1
 EXIT_USAGE = 2
+
+
+def _usage_error(message: str) -> NoReturn:
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)
 
 
 def _default_seed(args_seed: int | None) -> int:
@@ -42,7 +48,7 @@ def _default_seed(args_seed: int | None) -> int:
         try:
             return int(env)
         except ValueError:
-            raise SystemExit("MPO_SEED must be an integer")
+            _usage_error(f"MPO_SEED must be an integer, got {env!r}")
     return 0
 
 
@@ -52,13 +58,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ScenarioParseError as exc:
+    except ScenarioError as exc:
         print(f"error: {args.scenario}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.seed is not None or "MPO_SEED" in os.environ:
         scn.seed = _default_seed(args.seed)
     if args.horizon is not None:
         scn.horizon = args.horizon
+    validate_scenario(scn)
     trace = run(scn)
     write_trace_file(trace, args.out)
     print(f"wrote {len(trace.events)} events to {args.out} "
@@ -89,7 +96,7 @@ def _parse_grid(raw: str, kind):
     try:
         return [kind(tok) for tok in raw.split(",") if tok]
     except ValueError:
-        raise SystemExit(f"bad grid value {raw!r}")
+        _usage_error(f"bad grid value {raw!r}")
 
 
 def _config_hash(*parts) -> str:
@@ -193,21 +200,18 @@ def _parse_crash(raw: str | None) -> tuple[tuple[int, ...], tuple[int, ...]]:
             victims.append(int(proc))
             steps.append(int(step))
         except ValueError:
-            raise SystemExit(f"bad --crash {piece!r}; expected PROC@STEP")
+            _usage_error(f"bad --crash {piece!r}; expected PROC@STEP")
     return tuple(victims), tuple(steps)
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
     seed = _default_seed(args.seed)
     victims, steps = _parse_crash(args.crash)
-    try:
-        scn = preset_dependable(
-            args.n, seed, args.leader, horizon=args.horizon,
-            crash_victims=victims, crash_steps=steps,
-        )
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    scn = preset_dependable(
+        args.n, seed, args.leader, horizon=args.horizon,
+        crash_victims=victims, crash_steps=steps,
+    )
+    validate_scenario(scn)
     if args.emit_scenario:
         dump_scenario_file(scn, args.emit_scenario)
     trace = run(scn)
@@ -233,8 +237,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
     else:
         finals = {p: trace.final_leaders[p] for p in trace.correct_processes()}
         print(f"did not converge; final outputs of correct processes: {finals}")
-        changes = [ev for ev in trace.events
-                   if ev.__class__.__name__ == "LeaderChange"]
+        changes = [ev for ev in trace.events if isinstance(ev, LeaderChange)]
         if victims and changes:
             post = [ev for ev in changes if ev.step > min(steps)]
             print(f"leader changes after first crash: {len(post)}")
@@ -310,6 +313,9 @@ def main(argv: list[str] | None = None) -> int:
         raise
     except BrokenPipeError:
         return EXIT_OK
+    except ScenarioError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

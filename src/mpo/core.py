@@ -31,7 +31,7 @@ from .arborescence import Arborescence, WeightedDigraph, min_arborescence
 
 
 class ConfigurationError(ValueError):
-    """Invalid process id or network size."""
+    """Invalid process id, network size, timer constant or model parameter."""
 
 
 # ---------------------------------------------------------------------------
@@ -109,15 +109,13 @@ class Packet:
     """One transmission of a message over one channel.
 
     The payload is never modified in transit; forwarding mints new
-    packets around the same (msg_id, payload) pair.  `sent_step` is
-    stamped by the simulator when the packet is put on the wire.
+    packets around the same (msg_id, payload) pair.
     """
 
     msg_id: MessageId
     payload: Message
     src: int
     dst: int
-    sent_step: int = 0
 
 
 # ---------------------------------------------------------------------------

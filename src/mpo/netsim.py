@@ -25,7 +25,7 @@ s + timeout.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from heapq import heappop, heappush
 from typing import Any
 
@@ -46,6 +46,7 @@ from .channels import (
     suppression_windows,
 )
 from .core import (
+    ConfigurationError,
     Failed,
     MpoState,
     Packet,
@@ -77,6 +78,12 @@ class GeneralPropagation:
     p_timely: float
     bound: int = 4
 
+    def __post_init__(self) -> None:
+        if not (0 <= self.p_reliable <= 1 and 0 <= self.p_timely <= 1):
+            raise ConfigurationError("p_reliable and p_timely must lie in [0, 1]")
+        if self.bound < 1:
+            raise ConfigurationError(f"bound must be >= 1, got {self.bound}")
+
 
 @dataclass
 class Scenario:
@@ -84,7 +91,7 @@ class Scenario:
 
     n: int
     horizon: int
-    seed: int
+    seed: int = 0
     timers: TimerConfig = field(default_factory=TimerConfig)
     default_channel: ChannelModel = field(default_factory=lambda: Timely(4))
     channels: dict[tuple[int, int], ChannelModel] = field(default_factory=dict)
@@ -115,11 +122,7 @@ class Scenario:
             "n": self.n,
             "horizon": self.horizon,
             "seed": self.seed,
-            "timers": {
-                "sender_timeout": self.timers.sender_timeout,
-                "initial_receiver_timeout": self.timers.initial_receiver_timeout,
-                "timeout_increment": self.timers.timeout_increment,
-            },
+            "timers": asdict(self.timers),
             "default_channel": model_to_spec(self.default_channel),
             "channels": chanmap(self.channels),
             "origin_channels": {
@@ -129,58 +132,89 @@ class Scenario:
             if self.adjacency is None
             else [sorted(s) for s in self.adjacency],
             "crashes": {str(p): s for p, s in sorted(self.crash_schedule.items())},
-            "propagation": None
-            if self.propagation is None
-            else {
-                "p_reliable": self.propagation.p_reliable,
-                "p_timely": self.propagation.p_timely,
-                "bound": self.propagation.bound,
-            },
+            "propagation": None if self.propagation is None else asdict(self.propagation),
             # stringified so a config-file round trip keeps the fingerprint
             "labels": {str(k): str(v) for k, v in sorted(self.labels.items())},
         }
 
     @classmethod
     def from_dict(cls, obj: dict[str, Any]) -> "Scenario":
-        def parse_pairs(d: dict[str, str]) -> dict[tuple[int, int], ChannelModel]:
-            out = {}
-            for key, spec in d.items():
-                u, v = key.split("->")
-                out[(int(u), int(v))] = model_from_spec(spec)
-            return out
+        """Inverse of `to_dict`; the one way text or JSON becomes a Scenario.
 
-        timers = obj.get("timers", {})
-        prop = obj.get("propagation")
-        adj = obj.get("adjacency")
-        return cls(
-            n=int(obj["n"]),
-            horizon=int(obj["horizon"]),
-            seed=int(obj["seed"]),
-            timers=TimerConfig(
-                sender_timeout=int(timers.get("sender_timeout", 16)),
-                initial_receiver_timeout=int(timers.get("initial_receiver_timeout", 8)),
-                timeout_increment=int(timers.get("timeout_increment", 1)),
-            ),
-            default_channel=model_from_spec(obj.get("default_channel", "timely b=4")),
-            channels=parse_pairs(obj.get("channels", {})),
-            origin_channels={
-                int(o): parse_pairs(d)
-                for o, d in obj.get("origin_channels", {}).items()
-            },
-            adjacency=None if adj is None else tuple(frozenset(s) for s in adj),
-            crash_schedule={int(p): int(s) for p, s in obj.get("crashes", {}).items()},
-            propagation=None
-            if prop is None
-            else GeneralPropagation(
-                p_reliable=float(prop["p_reliable"]),
-                p_timely=float(prop["p_timely"]),
-                bound=int(prop.get("bound", 4)),
-            ),
-            labels=dict(obj.get("labels", {})),
-        )
+        Values may be numbers or strings (a config file's form).  An
+        omitted key keeps the field default; a bad value raises
+        ScenarioError naming its key.
+        """
+        for key in ("n", "horizon"):
+            if key not in obj:
+                raise ScenarioError(f"missing required key {key!r}")
+        kwargs = {}
+        for key, value in obj.items():
+            if key not in _FROM_DICT:
+                raise ScenarioError(f"unknown key {key!r}")
+            name, convert = _FROM_DICT[key]
+            try:
+                kwargs[name] = convert(value)
+            except (ValueError, TypeError, AttributeError) as exc:
+                raise ScenarioError(f"{key}: {exc}") from None
+        return cls(**kwargs)
 
     def fingerprint(self) -> str:
         return tr.fingerprint_scenario(self.to_dict())
+
+
+def _entries(d: dict, key_fn, value_fn) -> dict:
+    out = {}
+    for k, v in d.items():
+        try:
+            out[key_fn(k)] = value_fn(v)
+        except (ValueError, TypeError, AttributeError) as exc:
+            raise ValueError(f"key {k!r}: {exc}") from None
+    return out
+
+
+def _pair(key: str) -> tuple[int, int]:
+    u, arrow, v = key.partition("->")
+    if not arrow:
+        raise ValueError("expected 'U->V'")
+    return int(u), int(v)
+
+
+def _pairs(d: dict[str, str]) -> dict[tuple[int, int], ChannelModel]:
+    return _entries(d, _pair, model_from_spec)
+
+
+def _propagation(d: dict[str, Any] | None) -> GeneralPropagation | None:
+    if d is None:
+        return None
+    return GeneralPropagation(
+        **{k: int(v) if k == "bound" else float(v) for k, v in d.items()}
+    )
+
+
+# to_dict key -> (Scenario field, converter from a JSON or config-file value)
+_FROM_DICT = {
+    "n": ("n", int),
+    "horizon": ("horizon", int),
+    "seed": ("seed", int),
+    "timers": ("timers", lambda d: TimerConfig(**{k: int(v) for k, v in d.items()})),
+    "default_channel": ("default_channel", model_from_spec),
+    "channels": ("channels", _pairs),
+    "origin_channels": ("origin_channels", lambda d: _entries(d, int, _pairs)),
+    "adjacency": (
+        "adjacency",
+        lambda a: None if a is None else tuple(frozenset(map(int, s)) for s in a),
+    ),
+    "crashes": ("crash_schedule", lambda d: _entries(d, int, int)),
+    "propagation": ("propagation", _propagation),
+    "labels": ("labels", dict),
+}
+
+
+def _check_pairs(where: str, pairs, n: int) -> None:
+    for (u, v) in pairs:
+        if not (0 <= u < n and 0 <= v < n) or u == v:
+            raise ScenarioError(f"{where}: bad channel pair ({u}, {v})")
 
 
 def validate_scenario(scn: Scenario) -> None:
@@ -188,16 +222,26 @@ def validate_scenario(scn: Scenario) -> None:
         raise ScenarioError(f"n must be >= 2, got {scn.n}")
     if scn.horizon < 1:
         raise ScenarioError("horizon must be positive")
-    for (u, v) in scn.channels:
-        if not (0 <= u < scn.n and 0 <= v < scn.n) or u == v:
-            raise ScenarioError(f"bad channel pair ({u}, {v})")
+    _check_pairs("channels", scn.channels, scn.n)
+    for origin, pairs in scn.origin_channels.items():
+        if not 0 <= origin < scn.n:
+            raise ScenarioError(f"origin_channels: unknown origin {origin}")
+        _check_pairs(f"origin_channels {origin}", pairs, scn.n)
     for p, step in scn.crash_schedule.items():
         if not 0 <= p < scn.n:
             raise ScenarioError(f"crash of unknown process {p}")
         if not 1 <= step <= scn.horizon:
             raise ScenarioError(f"crash step {step} outside [1, horizon]")
-    if scn.adjacency is not None and len(scn.adjacency) != scn.n:
-        raise ScenarioError("adjacency must have one out-neighbor set per process")
+    if scn.adjacency is not None:
+        if len(scn.adjacency) != scn.n:
+            raise ScenarioError(
+                f"adjacency: the topology needs one out-neighbor list per process,"
+                f" got {len(scn.adjacency)} for n={scn.n}"
+            )
+        for p, neighbors in enumerate(scn.adjacency):
+            bad = sorted(q for q in neighbors if not 0 <= q < scn.n)
+            if bad:
+                raise ScenarioError(f"adjacency: process {p} lists unknown process {bad[0]}")
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +327,6 @@ class _Engine:
 
     def _route(self, packets: list[Packet], step: int) -> None:
         for pkt in packets:
-            pkt = replace(pkt, sent_step=step)
             self.events.append(
                 tr.Send(step, pkt.msg_id, pkt.payload.kind, pkt.src, pkt.dst)
             )

@@ -1,26 +1,29 @@
-"""Scenario config files: INI-style sections, one channel spec per line.
+"""Scenario config files: the INI form of `Scenario.to_dict()`.
 
-Schema (see README for the full reference):
+A file holds the same keys as the `scenario` object in a trace's meta
+line, one INI section per dict key, and is read by building that dict
+and handing it to `Scenario.from_dict` and `validate_scenario`.  Only
+the section layout is INI-specific:
 
-    [scenario]
+    [scenario]                   ; n, horizon and seed
     n = 6
     horizon = 50000
     seed = 42
 
-    [timers]
+    [timers]                     ; optional
     sender_timeout = 64
     initial_receiver_timeout = 78
     timeout_increment = 1
 
-    [channels]
+    [channels]                   ; `default` is the dict's default_channel
     default = lossy
     0->1 = eventually_timely b=2 until=30
     1->0 = fair_lossy q=0.5 delay=10:20
 
-    [channels:origin=2]          ; optional per-origin overrides
+    [channels:origin=2]          ; optional per-origin overrides; no default
     0->1 = timely b=3
 
-    [topology]                   ; optional; omit for a complete network
+    [topology]                   ; optional `adjacency`, one line per process
     0 = 1 2 3
 
     [crashes]                    ; optional
@@ -29,7 +32,7 @@ Schema (see README for the full reference):
     [propagation]                ; optional; per-message sampling mode
     p_reliable = 0.9
     p_timely = 0.6
-    bound = 4
+    bound = 3
 
     [labels]                     ; optional free-form annotations
     preset = dependable
@@ -38,162 +41,55 @@ Schema (see README for the full reference):
 from __future__ import annotations
 
 import configparser
-import re
-from typing import TextIO
+from typing import Any, TextIO
 
-from .channels import ChannelSpecError, model_from_spec, model_to_spec
-from .core import TimerConfig
-from .netsim import GeneralPropagation, Scenario, ScenarioError, validate_scenario
+from .netsim import Scenario, ScenarioError, validate_scenario
 
-_PAIR_RE = re.compile(r"^(\d+)\s*->\s*(\d+)$")
-_ORIGIN_SECTION_RE = re.compile(r"^channels:origin=(\d+)$")
+_ORIGIN_PREFIX = "channels:origin="
 
 
-class ScenarioParseError(ValueError):
-    """Config file rejected; message carries a line or section anchor."""
-
-
-def _int_field(section, name: str, key: str, default: int | None = None) -> int:
-    if key not in section:
-        if default is None:
-            raise ScenarioParseError(f"section [{name}]: missing required key {key!r}")
-        return default
-    try:
-        return int(section[key])
-    except ValueError:
-        raise ScenarioParseError(
-            f"section [{name}], key {key!r}: expected an integer, got {section[key]!r}"
-        ) from None
-
-
-def _parse_channel_lines(section, name: str) -> tuple[dict, str | None]:
-    pairs = {}
-    default = None
-    for key, value in section.items():
-        if key == "default":
-            default = value
-            continue
-        m = _PAIR_RE.match(key)
-        if not m:
-            raise ScenarioParseError(
-                f"section [{name}], key {key!r}: expected 'U->V' or 'default'"
-            )
-        try:
-            pairs[(int(m.group(1)), int(m.group(2)))] = model_from_spec(value)
-        except ChannelSpecError as exc:
-            raise ScenarioParseError(f"section [{name}], key {key!r}: {exc}") from None
-    return pairs, default
+class ScenarioParseError(ScenarioError):
+    """Config file rejected; the message names the section or key at fault."""
 
 
 def parse_scenario(fh: TextIO, source: str = "<config>") -> Scenario:
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     try:
         cp.read_file(fh, source=source)
     except configparser.Error as exc:
         raise ScenarioParseError(str(exc)) from None
-
     if "scenario" not in cp:
         raise ScenarioParseError("missing required section [scenario]")
-    sc = cp["scenario"]
-    n = _int_field(sc, "scenario", "n")
-    horizon = _int_field(sc, "scenario", "horizon")
-    seed = _int_field(sc, "scenario", "seed", 0)
 
-    timers = TimerConfig()
-    if "timers" in cp:
-        tm = cp["timers"]
-        timers = TimerConfig(
-            sender_timeout=_int_field(tm, "timers", "sender_timeout", 16),
-            initial_receiver_timeout=_int_field(
-                tm, "timers", "initial_receiver_timeout", 8
-            ),
-            timeout_increment=_int_field(tm, "timers", "timeout_increment", 1),
-        )
-
-    channels = {}
-    default_spec = "timely b=4"
-    if "channels" in cp:
-        channels, maybe_default = _parse_channel_lines(cp["channels"], "channels")
-        if maybe_default is not None:
-            default_spec = maybe_default
-    try:
-        default_channel = model_from_spec(default_spec)
-    except ChannelSpecError as exc:
-        raise ScenarioParseError(f"section [channels], key 'default': {exc}") from None
-
-    origin_channels = {}
-    for section_name in cp.sections():
-        m = _ORIGIN_SECTION_RE.match(section_name)
-        if m:
-            pairs, extra_default = _parse_channel_lines(cp[section_name], section_name)
-            if extra_default is not None:
+    obj: dict[str, Any] = {}
+    for name in cp.sections():
+        rows = dict(cp[name])
+        if name == "scenario":
+            obj.update(rows)
+        elif name == "channels":
+            if "default" in rows:
+                obj["default_channel"] = rows.pop("default")
+            obj["channels"] = rows
+        elif name.startswith(_ORIGIN_PREFIX):
+            if "default" in rows:
                 raise ScenarioParseError(
-                    f"section [{section_name}]: per-origin sections take no default"
+                    f"section [{name}]: per-origin sections take no default"
                 )
-            origin_channels[int(m.group(1))] = pairs
-
-    adjacency = None
-    if "topology" in cp:
-        out: list[frozenset[int]] = [frozenset()] * n
-        listed = set()
-        for key, value in cp["topology"].items():
-            try:
-                p = int(key)
-                neighbors = frozenset(int(tok) for tok in value.split())
-            except ValueError:
+            origin = name.removeprefix(_ORIGIN_PREFIX)
+            obj.setdefault("origin_channels", {})[origin] = rows
+        elif name == "topology":
+            ids = [str(p) for p in range(len(rows))]
+            if set(rows) != set(ids):
                 raise ScenarioParseError(
-                    f"section [topology], key {key!r}: expected ids"
-                ) from None
-            if not 0 <= p < n:
-                raise ScenarioParseError(f"section [topology]: unknown process {p}")
-            out[p] = neighbors
-            listed.add(p)
-        if listed != set(range(n)):
-            raise ScenarioParseError(
-                "section [topology]: every process needs an out-neighbor line"
-            )
-        adjacency = tuple(out)
-
-    crash_schedule = {}
-    if "crashes" in cp:
-        for key, value in cp["crashes"].items():
-            try:
-                crash_schedule[int(key)] = int(value)
-            except ValueError:
-                raise ScenarioParseError(
-                    f"section [crashes], key {key!r}: expected 'proc = step'"
-                ) from None
-
-    propagation = None
-    if "propagation" in cp:
-        pr = cp["propagation"]
-        try:
-            propagation = GeneralPropagation(
-                p_reliable=float(pr.get("p_reliable", "")),
-                p_timely=float(pr.get("p_timely", "")),
-                bound=_int_field(pr, "propagation", "bound", 4),
-            )
-        except ValueError:
-            raise ScenarioParseError(
-                "section [propagation]: p_reliable and p_timely must be floats"
-            ) from None
-
-    labels = dict(cp["labels"]) if "labels" in cp else {}
-
-    scn = Scenario(
-        n=n,
-        horizon=horizon,
-        seed=seed,
-        timers=timers,
-        default_channel=default_channel,
-        channels=channels,
-        origin_channels=origin_channels,
-        adjacency=adjacency,
-        crash_schedule=crash_schedule,
-        propagation=propagation,
-        labels=labels,
-    )
+                    "section [topology]: needs one line per process, keyed 0..n-1"
+                )
+            obj["adjacency"] = [rows[p].split() for p in ids]
+        elif name in ("timers", "crashes", "propagation", "labels"):
+            obj[name] = rows
+        else:
+            raise ScenarioParseError(f"unknown section [{name}]")
     try:
+        scn = Scenario.from_dict(obj)
         validate_scenario(scn)
     except ScenarioError as exc:
         raise ScenarioParseError(str(exc)) from None
@@ -206,37 +102,25 @@ def parse_scenario_file(path: str) -> Scenario:
 
 
 def dump_scenario(scn: Scenario, fh: TextIO) -> None:
-    fh.write("[scenario]\n")
-    fh.write(f"n = {scn.n}\nhorizon = {scn.horizon}\nseed = {scn.seed}\n\n")
-    fh.write("[timers]\n")
-    fh.write(f"sender_timeout = {scn.timers.sender_timeout}\n")
-    fh.write(f"initial_receiver_timeout = {scn.timers.initial_receiver_timeout}\n")
-    fh.write(f"timeout_increment = {scn.timers.timeout_increment}\n\n")
-    fh.write("[channels]\n")
-    fh.write(f"default = {model_to_spec(scn.default_channel)}\n")
-    for (u, v), model in sorted(scn.channels.items()):
-        fh.write(f"{u}->{v} = {model_to_spec(model)}\n")
-    for origin, pairs in sorted(scn.origin_channels.items()):
-        fh.write(f"\n[channels:origin={origin}]\n")
-        for (u, v), model in sorted(pairs.items()):
-            fh.write(f"{u}->{v} = {model_to_spec(model)}\n")
-    if scn.adjacency is not None:
-        fh.write("\n[topology]\n")
-        for p, neighbors in enumerate(scn.adjacency):
-            fh.write(f"{p} = {' '.join(str(q) for q in sorted(neighbors))}\n")
-    if scn.crash_schedule:
-        fh.write("\n[crashes]\n")
-        for p, step in sorted(scn.crash_schedule.items()):
-            fh.write(f"{p} = {step}\n")
-    if scn.propagation is not None:
-        fh.write("\n[propagation]\n")
-        fh.write(f"p_reliable = {scn.propagation.p_reliable}\n")
-        fh.write(f"p_timely = {scn.propagation.p_timely}\n")
-        fh.write(f"bound = {scn.propagation.bound}\n")
-    if scn.labels:
-        fh.write("\n[labels]\n")
-        for key, value in sorted(scn.labels.items()):
-            fh.write(f"{key} = {value}\n")
+    d = scn.to_dict()
+    sections = {
+        "scenario": {k: d[k] for k in ("n", "horizon", "seed")},
+        "timers": d["timers"],
+        "channels": {"default": d["default_channel"], **d["channels"]},
+    }
+    for origin, pairs in d["origin_channels"].items():
+        sections[f"{_ORIGIN_PREFIX}{origin}"] = pairs
+    if d["adjacency"] is not None:
+        sections["topology"] = {
+            p: " ".join(map(str, neighbors)) for p, neighbors in enumerate(d["adjacency"])
+        }
+    for name in ("crashes", "propagation", "labels"):
+        if d[name]:
+            sections[name] = d[name]
+    fh.write("\n".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in rows.items())
+        for name, rows in sections.items()
+    ))
 
 
 def dump_scenario_file(scn: Scenario, path: str) -> None:

@@ -192,7 +192,13 @@ def read_trace(lines: Iterable[str]) -> Trace:
         if obj.get("t") == "final":
             tail = obj
             break
-        events.append(_event_from_obj(obj))
+        try:
+            events.append(_event_from_obj(obj))
+        except (KeyError, TypeError) as exc:
+            raise TraceFormatError(
+                f"line {lineno}: malformed {obj.get('t')!r} event"
+                f" ({type(exc).__name__}: {exc})"
+            ) from None
     if tail is None:
         raise TraceFormatError("truncated trace: missing final record")
     return Trace(

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from mpo.channels import (
     ChannelState,
     DeliverProb,
@@ -12,7 +14,8 @@ from mpo.channels import (
     schedule_delivery,
     suppression_windows,
 )
-from mpo.core import Alive, MessageId, Packet
+from mpo.core import Alive, ConfigurationError, MessageId, Packet
+from mpo.netsim import GeneralPropagation
 
 
 def alive_pkt(origin=0, seq=0, src=0, dst=1):
@@ -102,3 +105,25 @@ def test_snt_window_lengths_grow():
     assert lengths[0] == 4
     assert max(lengths) == 512
     assert lengths == sorted(lengths)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Timely(0),
+    lambda: EventuallyTimely(0),
+    lambda: EventuallyTimely(2, unreliable_until=-1),
+    lambda: DropPattern(-1),
+    lambda: DeliverProb(0.0),
+    lambda: DeliverProb(1.5),
+    lambda: FairLossy(DropPattern(1), delay_min=0, delay_max=4),
+    lambda: FairLossy(DropPattern(1), delay_min=9, delay_max=2),
+    lambda: StronglyNonTimely(burst=0),
+    lambda: StronglyNonTimely(burst=16, window_cap=8),
+    lambda: StronglyNonTimely(delay_min=5, delay_max=4),
+    lambda: StronglyNonTimely(quiet_until=-1),
+    lambda: GeneralPropagation(1.1, 0.5),
+    lambda: GeneralPropagation(0.5, -0.1),
+    lambda: GeneralPropagation(0.5, 0.5, bound=0),
+])
+def test_model_parameters_checked_on_construction(build):
+    with pytest.raises(ConfigurationError):
+        build()

@@ -2,9 +2,21 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mpo.channels import (
+    DeliverProb,
+    DropPattern,
+    EventuallyTimely,
+    FairLossy,
+    Lossy,
+    StronglyNonTimely,
+    Timely,
+)
 from mpo.cli import main
-from mpo.netsim import Scenario, preset_dependable, run
+from mpo.core import TimerConfig
+from mpo.netsim import GeneralPropagation, Scenario, preset_dependable, run
 from mpo.scenario_io import (
     ScenarioParseError,
     dump_scenario,
@@ -99,6 +111,55 @@ class TestScenarioIO:
         dump_scenario(scn, out)
         again = parse_scenario(io.StringIO(out.getvalue()))
         assert again.fingerprint() == scn.fingerprint()
+
+
+@st.composite
+def small_scenarios(draw):
+    n = draw(st.integers(2, 5))
+    horizon = draw(st.integers(1, 10_000))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda e: e[0] != e[1]
+    )
+    delays = st.integers(1, 20).flatmap(lambda lo: st.tuples(st.just(lo), st.integers(lo, 40)))
+    policies = st.one_of(
+        st.builds(DropPattern, st.integers(0, 4)),
+        st.builds(DeliverProb, st.floats(0, 1, exclude_min=True)),
+    )
+    bursts = st.integers(1, 16).flatmap(lambda b: st.tuples(st.just(b), st.integers(b, 300)))
+    models = st.one_of(
+        st.builds(Timely, st.integers(1, 9)),
+        st.builds(EventuallyTimely, st.integers(1, 9), st.integers(0, 500)),
+        st.builds(lambda pol, d: FairLossy(pol, *d), policies, delays),
+        st.builds(lambda b, d, quiet: StronglyNonTimely(*b, *d, quiet),
+                  bursts, delays, st.integers(0, 1000)),
+        st.just(Lossy()),
+    )
+    chanmaps = st.dictionaries(pairs, models, max_size=4)
+    return Scenario(
+        n=n,
+        horizon=horizon,
+        seed=draw(st.integers(0, 2**31)),
+        timers=draw(st.builds(TimerConfig, st.integers(1, 99), st.integers(1, 99),
+                              st.integers(1, 5))),
+        default_channel=draw(models),
+        channels=draw(chanmaps),
+        origin_channels=draw(st.dictionaries(st.integers(0, n - 1), chanmaps, max_size=2)),
+        adjacency=draw(st.none() | st.lists(
+            st.frozensets(st.integers(0, n - 1)), min_size=n, max_size=n).map(tuple)),
+        crash_schedule=draw(st.dictionaries(
+            st.integers(0, n - 1), st.integers(1, horizon), max_size=n - 1)),
+        propagation=draw(st.none() | st.builds(
+            GeneralPropagation, st.floats(0, 1), st.floats(0, 1), st.integers(1, 9))),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_scenarios())
+def test_ini_and_dict_forms_round_trip(scn):
+    out = io.StringIO()
+    dump_scenario(scn, out)
+    parsed = parse_scenario(io.StringIO(out.getvalue()))
+    assert parsed.to_dict() == scn.to_dict() == Scenario.from_dict(scn.to_dict()).to_dict()
 
 
 class TestCliRun:
@@ -244,3 +305,51 @@ class TestCliSweepAndDemo:
         rc = main(["demo", "--n", "3", "--horizon", "5000"])
         assert rc == 0
         assert "seed=77" in capsys.readouterr().out
+
+
+def _exit_code(argv: list[str]) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+# (scenario file body, or None for a valid one; CLI arguments; environment)
+BAD_INPUTS = {
+    "channel bound 0": ("[channels]\ndefault = timely b=0\n", ["run"], {}),
+    "empty delay window": ("[channels]\n0->1 = fair_lossy q=0.5 delay=9:2\n", ["run"], {}),
+    "channel bound not a number": ("[channels]\n0->1 = timely b=x\n", ["run"], {}),
+    "propagation bound 0": (
+        "[propagation]\np_reliable = 0.9\np_timely = 0.6\nbound = 0\n", ["run"], {}),
+    "sender timeout 0": ("[timers]\nsender_timeout = 0\n", ["run"], {}),
+    "unknown origin": ("[channels:origin=9]\n5->6 = timely b=2\n", ["run"], {}),
+    "origin pair out of range": ("[channels:origin=1]\n5->6 = timely b=2\n", ["run"], {}),
+    "neighbour out of range": ("[topology]\n0 = 1 7\n1 = 0\n2 = 0\n", ["run"], {}),
+    "run horizon 0": (None, ["run", "--horizon", "0"], {}),
+    "MPO_SEED not a number": (None, ["run"], {"MPO_SEED": "abc"}),
+    "grid value": (None, ["mc", "--mode", "existence", "--n", "3,x", "--p", "0.5",
+                          "--trials", "10"], {}),
+    "crash step": (None, ["demo", "--n", "3", "--crash", "1@x"], {}),
+    "demo horizon 0": (None, ["demo", "--n", "3", "--horizon", "0"], {}),
+    "trace event missing fields": (None, ["audit"], {}),
+}
+
+
+@pytest.mark.parametrize("body, argv, env", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_is_usage_error(tmp_path, capsys, monkeypatch, body, argv, env):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    cfg = tmp_path / "scn.cfg"
+    cfg.write_text("[scenario]\nn = 3\nhorizon = 100\n" + (body or ""))
+    trace = tmp_path / "t.jsonl"
+    trace.write_text(
+        '{"t":"meta","fingerprint":"0","scenario":{"n":3,"horizon":100}}\n'
+        '{"t":"send","step":1}\n'
+        '{"t":"final","leaders":[null,null,null],"crashed":[false,false,false]}\n'
+    )
+    if argv[0] == "run":
+        argv = argv + ["--scenario", str(cfg), "--out", str(tmp_path / "out.jsonl")]
+    elif argv[0] == "audit":
+        argv = argv + ["--trace", str(trace)]
+    assert _exit_code(argv) == 2
+    assert "error" in capsys.readouterr().err
