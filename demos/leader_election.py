@@ -9,7 +9,7 @@ designated process, and the steady heartbeat tail.
 """
 
 from mpo import trace as tr
-from mpo.audit import audit_report, detect_convergence
+from mpo.audit import audit_report, summarize
 from mpo.netsim import preset_dependable, run
 
 N, SEED = 6, 2024
@@ -26,7 +26,7 @@ def main():
     print(f"startup: {len(first_claimants)} processes claimed leadership "
           f"(messages named start_phase)")
 
-    conv = detect_convergence(trace)
+    conv = summarize(trace).convergence()
     print(f"converged on process {conv.leader} at step {conv.step}")
 
     changes = [ev for ev in trace.events if isinstance(ev, tr.LeaderChange)]

@@ -16,15 +16,7 @@ from .arborescence import (
     min_arborescence,
     validate_arborescence,
 )
-from .audit import (
-    AuditReport,
-    audit_channel_usage,
-    audit_message_efficiency,
-    audit_packet_efficiency,
-    audit_report,
-    audit_timer_bound,
-    detect_convergence,
-)
+from .audit import AuditReport, TraceSummary, audit_report, audit_timer_bound, summarize
 from .channels import (
     ChannelState,
     DeliverProb,
@@ -73,59 +65,3 @@ from .netsim import (
 from .trace import Trace, read_trace_file, write_trace_file
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Alive",
-    "Arborescence",
-    "AuditReport",
-    "ChannelState",
-    "ConfigurationError",
-    "DeliverProb",
-    "DropPattern",
-    "EventuallyTimely",
-    "Failed",
-    "FairLossy",
-    "GeneralPropagation",
-    "Lossy",
-    "MessageId",
-    "Mode",
-    "MpoState",
-    "Packet",
-    "Scenario",
-    "ScenarioError",
-    "StartPhase",
-    "StopPhase",
-    "StronglyNonTimely",
-    "Timely",
-    "TimerConfig",
-    "TopologyError",
-    "Trace",
-    "WeightedDigraph",
-    "advance_timers",
-    "audit_channel_usage",
-    "audit_message_efficiency",
-    "audit_packet_efficiency",
-    "audit_report",
-    "audit_timer_bound",
-    "bitimely_connectivity_bound",
-    "brute_force_min_arborescence",
-    "closed_form_single_hop",
-    "detect_convergence",
-    "exhaustive_existence",
-    "init_state",
-    "mc_multi_hop",
-    "mc_single_hop",
-    "mc_stability",
-    "min_arborescence",
-    "on_receive",
-    "on_receiver_timeout",
-    "on_sender_timeout",
-    "preset_dependable",
-    "read_trace_file",
-    "run",
-    "run_reference",
-    "schedule_delivery",
-    "stability_sweep",
-    "validate_arborescence",
-    "write_trace_file",
-]

@@ -1,11 +1,12 @@
 """Trace analyzers: convergence, efficiency, and timer-growth checks.
 
-Every function here is a pure, read-only pass over a Trace.  "All but
-finitely many" claims about infinite runs are checked in their standard
-finite form: pick a cutoff, inspect everything after it within the
-horizon.  The default cutoff is convergence_step + 10 * sender_timeout,
-and convergence itself requires a stability window (default: the final
-20% of the horizon) so transient agreement is not accepted.
+`summarize` walks a trace's events once; every check is a view over the
+resulting TraceSummary.  "All but finitely many" claims about infinite
+runs are checked in their standard finite form: pick a cutoff, inspect
+everything after it within the horizon.  The default cutoff is
+convergence_step + 10 * sender_timeout, and convergence itself requires
+a stability window (default: the final 20% of the horizon) so transient
+agreement is not accepted.
 """
 
 from __future__ import annotations
@@ -52,91 +53,6 @@ class AuditReport:
         }
 
 
-def detect_convergence(trace: Trace, window: int | None = None) -> Convergence | None:
-    """Earliest step from which every correct process outputs one fixed
-    correct leader through the horizon, provided at least `window` steps
-    of that stability are observed; None otherwise."""
-    horizon = trace.horizon
-    if window is None:
-        window = max(1, horizon // 5)
-    correct = trace.correct_processes()
-
-    final: dict[int, int | None] = {p: None for p in correct}
-    last_change: dict[int, int] = {p: 0 for p in correct}
-    for ev in trace.events:
-        if isinstance(ev, LeaderChange) and ev.proc in final:
-            final[ev.proc] = ev.new
-            last_change[ev.proc] = ev.step
-
-    leaders = set(final.values())
-    if len(leaders) != 1:
-        return None
-    leader = leaders.pop()
-    if leader is None or leader not in correct:
-        return None
-    step = max(last_change.values(), default=0)
-    if horizon - step < window:
-        return None
-    return Convergence(leader=leader, step=step)
-
-
-def _origination_steps(trace: Trace) -> dict[MessageId, tuple[int, str]]:
-    """First send of each message: that send is the origination (events
-    are time-ordered and forwards strictly follow a delivery)."""
-    firsts: dict[MessageId, tuple[int, str]] = {}
-    for ev in trace.events:
-        if isinstance(ev, Send) and ev.mid not in firsts:
-            firsts[ev.mid] = (ev.step, ev.kind)
-    return firsts
-
-
-def audit_message_efficiency(trace: Trace, cutoff: int) -> set[int]:
-    """Origins of messages first originated strictly after `cutoff`.
-
-    The run is message efficient past the cutoff iff the result is
-    exactly {leader}.
-    """
-    return {
-        mid.origin
-        for mid, (step, _) in _origination_steps(trace).items()
-        if step > cutoff
-    }
-
-
-def audit_packet_efficiency(trace: Trace, cutoff: int) -> int:
-    """Largest number of packets any message originated after `cutoff` used."""
-    firsts = _origination_steps(trace)
-    counts: dict[MessageId, int] = {}
-    for ev in trace.events:
-        if isinstance(ev, Send) and firsts[ev.mid][0] > cutoff:
-            counts[ev.mid] = counts.get(ev.mid, 0) + 1
-    return max(counts.values(), default=0)
-
-
-def packet_counts_by_kind(trace: Trace, cutoff: int) -> dict[str, int]:
-    """Max packets per message after the cutoff, split by message kind."""
-    firsts = _origination_steps(trace)
-    counts: dict[MessageId, int] = {}
-    for ev in trace.events:
-        if isinstance(ev, Send) and firsts[ev.mid][0] > cutoff:
-            counts[ev.mid] = counts.get(ev.mid, 0) + 1
-    out: dict[str, int] = {}
-    for mid, c in counts.items():
-        kind = firsts[mid][1]
-        out[kind] = max(out.get(kind, 0), c)
-    return out
-
-
-def audit_channel_usage(trace: Trace, cutoff: int) -> int:
-    """Distinct ordered (src, dst) pairs carrying sends strictly after `cutoff`."""
-    used = {
-        (ev.src, ev.dst)
-        for ev in trace.events
-        if isinstance(ev, Send) and ev.step > cutoff
-    }
-    return len(used)
-
-
 @dataclass(frozen=True)
 class TimerBoundReport:
     final_timeouts: dict[int, int]  # correct process -> final timeout for the subject
@@ -144,39 +60,133 @@ class TimerBoundReport:
     last_fire_step: int | None
 
 
+@dataclass
+class TraceSummary:
+    """What the audits need from a trace, gathered in one pass by `summarize`.
+
+    Events are time-ordered, so a message's first send is its
+    origination and every later send of it (a forward) happens no
+    earlier; "after a cutoff" means strictly after.
+    """
+
+    horizon: int
+    correct: list[int]
+    timers: dict[str, Any]  # the scenario's timer configuration
+    # process -> (its last leader output, the step of that output)
+    outputs: dict[int, tuple[int | None, int]]
+    # message -> [origination step, kind, packets sent]
+    messages: dict[MessageId, list]
+    # (src, dst) -> step of the channel's last send
+    last_send: dict[tuple[int, int], int]
+    # (proc, subject) -> receive-timer firings; sender timers are not counted
+    receive_fires: dict[tuple[int, int], int]
+    # subject -> step of its last receive-timer firing
+    last_receive_fire: dict[int, int]
+
+    def convergence(self, window: int | None = None) -> Convergence | None:
+        """Earliest step from which every correct process outputs one fixed
+        correct leader through the horizon, provided at least `window` steps
+        of that stability are observed; None otherwise."""
+        if window is None:
+            window = max(1, self.horizon // 5)
+        finals = [self.outputs.get(p, (None, 0)) for p in self.correct]
+        leaders = {leader for leader, _ in finals}
+        if len(leaders) != 1:
+            return None
+        leader = leaders.pop()
+        if leader is None or leader not in self.correct:
+            return None
+        step = max(step for _, step in finals)
+        if self.horizon - step < window:
+            return None
+        return Convergence(leader=leader, step=step)
+
+    def origins_after(self, cutoff: int) -> set[int]:
+        """Origins of messages originated after `cutoff`.
+
+        The run is message efficient past the cutoff iff the result is
+        exactly {leader}.
+        """
+        return {mid.origin for mid, (step, _, _) in self.messages.items() if step > cutoff}
+
+    def packets_after(self, cutoff: int) -> dict[str, int]:
+        """Most packets any message originated after `cutoff` used, by kind;
+        the largest value is the packet-efficiency measure."""
+        out: dict[str, int] = {}
+        for step, kind, packets in self.messages.values():
+            if step > cutoff and packets > out.get(kind, 0):
+                out[kind] = packets
+        return out
+
+    def channels_after(self, cutoff: int) -> int:
+        """Distinct ordered (src, dst) pairs carrying sends after `cutoff`."""
+        return sum(1 for step in self.last_send.values() if step > cutoff)
+
+    def timer_bound(self, leader: int, *, quiet_window: int | None = None
+                    ) -> TimerBoundReport:
+        """Final receive-timer timeout for subject `leader` at every correct process.
+
+        Timeouts grow only when the timer fires, by the configured
+        increment, so finals are reconstructed from firing counts.
+        `stabilized` is False if any such timer still fired inside the
+        final quiet window (default: last 20% of the horizon), i.e. growth
+        had not stopped.
+        """
+        initial = int(self.timers["initial_receiver_timeout"])
+        increment = int(self.timers["timeout_increment"])
+        if quiet_window is None:
+            quiet_window = max(1, self.horizon // 5)
+        finals = {
+            p: initial + increment * self.receive_fires.get((p, leader), 0)
+            for p in self.correct
+            if p != leader
+        }
+        last_fire = self.last_receive_fire.get(leader)
+        stabilized = last_fire is None or last_fire <= self.horizon - quiet_window
+        return TimerBoundReport(
+            final_timeouts=finals, stabilized=stabilized, last_fire_step=last_fire
+        )
+
+
+def summarize(trace: Trace) -> TraceSummary:
+    """Walk `trace.events` once and keep what every audit reads."""
+    outputs: dict[int, tuple[int | None, int]] = {}
+    messages: dict[MessageId, list] = {}
+    last_send: dict[tuple[int, int], int] = {}
+    receive_fires: dict[tuple[int, int], int] = {}
+    last_receive_fire: dict[int, int] = {}
+    for ev in trace.events:
+        if isinstance(ev, Send):
+            msg = messages.get(ev.mid)
+            if msg is None:
+                messages[ev.mid] = [ev.step, ev.kind, 1]
+            else:
+                msg[2] += 1
+            last_send[ev.src, ev.dst] = ev.step
+        elif isinstance(ev, TimerFired):
+            if ev.proc != ev.subject:
+                key = (ev.proc, ev.subject)
+                receive_fires[key] = receive_fires.get(key, 0) + 1
+                last_receive_fire[ev.subject] = ev.step
+        elif isinstance(ev, LeaderChange):
+            outputs[ev.proc] = (ev.new, ev.step)
+    return TraceSummary(
+        horizon=trace.horizon,
+        correct=trace.correct_processes(),
+        timers=trace.scenario["timers"],
+        outputs=outputs,
+        messages=messages,
+        last_send=last_send,
+        receive_fires=receive_fires,
+        last_receive_fire=last_receive_fire,
+    )
+
+
 def audit_timer_bound(
     trace: Trace, leader: int, *, quiet_window: int | None = None
 ) -> TimerBoundReport:
-    """Final receive-timer timeout for subject `leader` at every correct process.
-
-    Timeouts grow only when the timer fires, by the configured
-    increment, so finals are reconstructed from TimerFired counts.
-    `stabilized` is False if any such timer still fired inside the final
-    quiet window (default: last 20% of the horizon), i.e. growth had not
-    stopped.
-    """
-    timers = trace.scenario["timers"]
-    initial = int(timers["initial_receiver_timeout"])
-    increment = int(timers["timeout_increment"])
-    horizon = trace.horizon
-    if quiet_window is None:
-        quiet_window = max(1, horizon // 5)
-
-    fires: dict[int, int] = {}
-    last_fire: int | None = None
-    for ev in trace.events:
-        if isinstance(ev, TimerFired) and ev.subject == leader and ev.proc != leader:
-            fires[ev.proc] = fires.get(ev.proc, 0) + 1
-            last_fire = ev.step
-    finals = {
-        p: initial + increment * fires.get(p, 0)
-        for p in trace.correct_processes()
-        if p != leader
-    }
-    stabilized = last_fire is None or last_fire <= horizon - quiet_window
-    return TimerBoundReport(
-        final_timeouts=finals, stabilized=stabilized, last_fire_step=last_fire
-    )
+    """`TraceSummary.timer_bound` of `trace`."""
+    return summarize(trace).timer_bound(leader, quiet_window=quiet_window)
 
 
 def fair_lossy_stream_counts(trace: Trace) -> dict[tuple[int, int, str, int], tuple[int, int]]:
@@ -202,37 +212,30 @@ def default_cutoff(trace: Trace, convergence_step: int) -> int:
 
 def audit_report(trace: Trace, cutoff: int | None = None,
                  window: int | None = None) -> AuditReport:
-    """One-stop report: convergence plus the efficiency audits at the cutoff."""
-    conv = detect_convergence(trace, window)
-    if conv is None:
-        eff_cutoff = cutoff if cutoff is not None else 0
-        return AuditReport(
-            converged=False,
-            leader=None,
-            convergence_step=None,
-            cutoff=eff_cutoff,
-            origins_after_cutoff=audit_message_efficiency(trace, eff_cutoff),
-            max_packets_per_message_after_cutoff=audit_packet_efficiency(trace, eff_cutoff),
-            channels_used_after_cutoff=audit_channel_usage(trace, eff_cutoff),
-        )
-    eff_cutoff = cutoff if cutoff is not None else default_cutoff(trace, conv.step)
-    origins = audit_message_efficiency(trace, eff_cutoff)
-    max_packets = audit_packet_efficiency(trace, eff_cutoff)
-    n = trace.n
-    report = AuditReport(
-        converged=True,
-        leader=conv.leader,
-        convergence_step=conv.step,
-        cutoff=eff_cutoff,
+    """One-stop report: convergence plus the efficiency audits at the cutoff.
+
+    A run that does not converge is audited at the given cutoff or 0, is
+    neither message nor packet efficient, and gets no timer growth.
+    """
+    summary = summarize(trace)
+    conv = summary.convergence(window)
+    if cutoff is None:
+        cutoff = 0 if conv is None else default_cutoff(trace, conv.step)
+    origins = summary.origins_after(cutoff)
+    max_packets = max(summary.packets_after(cutoff).values(), default=0)
+    timer_growth: dict[int, int] = {}
+    labels = trace.scenario.get("labels", {})
+    if conv is not None and labels.get("preset") == "dependable":
+        timer_growth = summary.timer_bound(int(labels["leader"])).final_timeouts
+    return AuditReport(
+        converged=conv is not None,
+        leader=None if conv is None else conv.leader,
+        convergence_step=None if conv is None else conv.step,
+        cutoff=cutoff,
         origins_after_cutoff=origins,
         max_packets_per_message_after_cutoff=max_packets,
-        channels_used_after_cutoff=audit_channel_usage(trace, eff_cutoff),
-        message_efficient=origins == {conv.leader},
-        packet_efficient=max_packets <= 2 * (n - 1),
+        channels_used_after_cutoff=summary.channels_after(cutoff),
+        timer_growth=timer_growth,
+        message_efficient=conv is not None and origins == {conv.leader},
+        packet_efficient=conv is not None and max_packets <= 2 * (trace.n - 1),
     )
-    labels = trace.scenario.get("labels", {})
-    if labels.get("preset") == "dependable":
-        report.timer_growth = audit_timer_bound(
-            trace, int(labels["leader"])
-        ).final_timeouts
-    return report

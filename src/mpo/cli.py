@@ -26,7 +26,7 @@ from .montecarlo import (
     mc_stability,
     stability_sweep,
 )
-from .netsim import ScenarioError, preset_dependable, run, validate_scenario
+from .netsim import Scenario, ScenarioError, preset_dependable, run, validate_scenario
 from .scenario_io import dump_scenario_file, parse_scenario_file
 from .trace import LeaderChange, TraceFormatError, read_trace_file, write_trace_file
 
@@ -82,6 +82,14 @@ def cmd_audit(args: argparse.Namespace) -> int:
     except TraceFormatError as exc:
         print(f"error: {args.trace}: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    scn = Scenario.from_dict(trace.scenario)  # a ScenarioError exits 2 through main
+    validate_scenario(scn)
+    for name, values in (("leaders", trace.final_leaders), ("crashed", trace.crashed)):
+        if len(values) != scn.n:
+            print(f"error: {args.trace}: final {name} must list n={scn.n} processes",
+                  file=sys.stderr)
+            return EXIT_USAGE
+    trace.scenario = scn.to_dict()
     report = audit_report(trace, cutoff=args.cutoff, window=args.window)
     payload = json.dumps(report.to_json_obj(), indent=2, sort_keys=True)
     if args.report:

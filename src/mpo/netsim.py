@@ -423,11 +423,7 @@ class _Engine:
             if self._timer_entry_valid(entry):
                 due.append((entry[1], entry[2]))
         for proc, subject in sorted(due):
-            # re-check: an earlier dispatch this step cannot invalidate these,
-            # but staying defensive costs nothing
-            ts = self.states[proc].timers[subject]
-            if ts.on and not self.crashed[proc]:
-                self._dispatch_timeout(step, proc, subject)
+            self._dispatch_timeout(step, proc, subject)
 
     def _fire_timers_reference(self, step: int) -> None:
         due: list[tuple[int, int]] = []

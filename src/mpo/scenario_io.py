@@ -54,6 +54,7 @@ class ScenarioParseError(ScenarioError):
 
 def parse_scenario(fh: TextIO, source: str = "<config>") -> Scenario:
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
+    cp.optionxform = str  # keys are case-sensitive, as in the dict form
     try:
         cp.read_file(fh, source=source)
     except configparser.Error as exc:

@@ -201,6 +201,12 @@ def read_trace(lines: Iterable[str]) -> Trace:
             ) from None
     if tail is None:
         raise TraceFormatError("truncated trace: missing final record")
+    for record, key, kind in ((meta, "fingerprint", str), (meta, "scenario", dict),
+                              (tail, "leaders", list), (tail, "crashed", list)):
+        if not isinstance(record.get(key), kind):
+            raise TraceFormatError(
+                f"{record['t']} record: {key!r} missing or not a {kind.__name__}"
+            )
     return Trace(
         fingerprint=meta["fingerprint"],
         scenario=meta["scenario"],

@@ -18,15 +18,7 @@ from mpo.arborescence import (
     brute_force_min_arborescence,
     min_arborescence,
 )
-from mpo.audit import (
-    audit_channel_usage,
-    audit_message_efficiency,
-    audit_packet_efficiency,
-    audit_timer_bound,
-    default_cutoff,
-    detect_convergence,
-    packet_counts_by_kind,
-)
+from mpo.audit import default_cutoff, summarize
 from mpo.montecarlo import (
     Mode,
     closed_form_single_hop,
@@ -107,12 +99,13 @@ def _sweep_case(n: int, seed: int) -> RunSummary:
         bound=BOUND,
     )
     trace = run(scn)
-    conv = detect_convergence(trace)
+    summary = summarize(trace)
+    conv = summary.convergence()
     if conv is None:
         return RunSummary(n, seed, dict(zip(victims, steps)), False, None, None,
                           0, set(), {}, 0, 0, {}, False)
     cutoff = default_cutoff(trace, conv.step)
-    timer_rep = audit_timer_bound(trace, 0)
+    timer_rep = summary.timer_bound(0)
     return RunSummary(
         n=n,
         seed=seed,
@@ -121,9 +114,9 @@ def _sweep_case(n: int, seed: int) -> RunSummary:
         leader=conv.leader,
         convergence_step=conv.step,
         cutoff=cutoff,
-        tail_origins=audit_message_efficiency(trace, cutoff),
-        tail_packets_by_kind=packet_counts_by_kind(trace, cutoff),
-        tail_channels=audit_channel_usage(trace, cutoff),
+        tail_origins=summary.origins_after(cutoff),
+        tail_packets_by_kind=summary.packets_after(cutoff),
+        tail_channels=summary.channels_after(cutoff),
         tail_length=trace.horizon - cutoff,
         timer_finals=timer_rep.final_timeouts,
         timer_stable=timer_rep.stabilized,

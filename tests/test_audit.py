@@ -2,18 +2,14 @@ import pytest
 
 from mpo import trace as tr
 from mpo.audit import (
-    audit_channel_usage,
-    audit_message_efficiency,
-    audit_packet_efficiency,
     audit_report,
     audit_timer_bound,
     default_cutoff,
-    detect_convergence,
     fair_lossy_stream_counts,
-    packet_counts_by_kind,
+    summarize,
 )
 from mpo.channels import DeliverProb, DropPattern, FairLossy, Lossy, StronglyNonTimely, Timely
-from mpo.core import TimerConfig
+from mpo.core import MessageId, TimerConfig
 from mpo.netsim import Scenario, preset_dependable, run
 
 
@@ -22,9 +18,14 @@ def converged_trace():
     return run(preset_dependable(5, seed=2, horizon=20_000))
 
 
+@pytest.fixture(scope="module")
+def converged(converged_trace):
+    return summarize(converged_trace)
+
+
 class TestConvergence:
-    def test_detects_preset_convergence(self, converged_trace):
-        conv = detect_convergence(converged_trace)
+    def test_detects_preset_convergence(self, converged):
+        conv = converged.convergence()
         assert conv is not None
         assert conv.leader == 0
         assert conv.step < 1_000
@@ -35,7 +36,7 @@ class TestConvergence:
             tr.LeaderChange(100, p, None, 2) for p in range(3)
         ]
         t = tr.Trace("x", scenario, events, [2, 2, 2], [False] * 3)
-        conv = detect_convergence(t)
+        conv = summarize(t).convergence()
         assert conv == type(conv)(leader=2, step=100)
 
     def test_oscillation_never_converges(self):
@@ -45,7 +46,7 @@ class TestConvergence:
             events.append(tr.LeaderChange(step, 0, 1, 2))
             events.append(tr.LeaderChange(step + 50, 0, 2, 1))
         t = tr.Trace("x", scenario, events, [1, 1, 1], [False] * 3)
-        assert detect_convergence(t) is None
+        assert summarize(t).convergence() is None
 
     def test_agreement_on_crashed_process_rejected(self):
         scenario = preset_dependable(3, seed=0, horizon=10_000).to_dict()
@@ -53,66 +54,91 @@ class TestConvergence:
             tr.LeaderChange(100, p, None, 2) for p in (0, 1)
         ]
         t = tr.Trace("x", scenario, events, [2, 2, None], [False, False, True])
-        assert detect_convergence(t) is None
+        assert summarize(t).convergence() is None
 
     def test_stability_window_enforced(self):
         scenario = preset_dependable(3, seed=0, horizon=1_000).to_dict()
         events = [tr.LeaderChange(950, p, None, 1) for p in range(3)]
         t = tr.Trace("x", scenario, events, [1, 1, 1], [False] * 3)
-        assert detect_convergence(t) is None  # only 50 stable steps < 200
-        assert detect_convergence(t, window=10) is not None
+        assert summarize(t).convergence() is None  # only 50 stable steps < 200
+        assert summarize(t).convergence(window=10) is not None
 
 
 class TestMessageEfficiency:
-    def test_tail_origins_are_exactly_the_leader(self, converged_trace):
-        conv = detect_convergence(converged_trace)
+    def test_tail_origins_are_exactly_the_leader(self, converged_trace, converged):
+        conv = converged.convergence()
         cutoff = default_cutoff(converged_trace, conv.step)
-        assert audit_message_efficiency(converged_trace, cutoff) == {0}
+        assert converged.origins_after(cutoff) == {0}
 
-    def test_cutoff_zero_sees_everyone(self, converged_trace):
-        origins = audit_message_efficiency(converged_trace, 0)
+    def test_cutoff_zero_sees_everyone(self, converged):
+        origins = converged.origins_after(0)
         assert origins == set(range(5))  # every process claims at startup
 
-    def test_horizon_cutoff_is_empty(self, converged_trace):
-        assert audit_message_efficiency(converged_trace, converged_trace.horizon) == set()
+    def test_horizon_cutoff_is_empty(self, converged_trace, converged):
+        assert converged.origins_after(converged_trace.horizon) == set()
 
 
 class TestPacketEfficiency:
-    def test_alive_packets_linear(self, converged_trace):
-        conv = detect_convergence(converged_trace)
+    def test_alive_packets_linear(self, converged_trace, converged):
+        conv = converged.convergence()
         cutoff = default_cutoff(converged_trace, conv.step)
         n = converged_trace.n
-        assert audit_packet_efficiency(converged_trace, cutoff) <= 2 * (n - 1)
-        by_kind = packet_counts_by_kind(converged_trace, cutoff)
+        by_kind = converged.packets_after(cutoff)
+        assert max(by_kind.values()) <= 2 * (n - 1)
         assert set(by_kind) == {"alive"}
 
-    def test_startup_broadcast_quadratic(self, converged_trace):
+    def test_startup_broadcast_quadratic(self, converged_trace, converged):
         # at cutoff 0 the claim broadcasts are flooded: every process
         # forwards once, so a message can use up to n*(n-1) packets
         n = converged_trace.n
-        worst = audit_packet_efficiency(converged_trace, 0)
+        worst = max(converged.packets_after(0).values())
         assert worst > 2 * (n - 1)
         assert worst <= n * (n - 1)
 
 
 class TestChannelUsage:
-    def test_rotation_touches_every_channel(self, converged_trace):
-        conv = detect_convergence(converged_trace)
+    def test_rotation_touches_every_channel(self, converged_trace, converged):
+        conv = converged.convergence()
         cutoff = default_cutoff(converged_trace, conv.step)
         n = converged_trace.n
-        assert audit_channel_usage(converged_trace, cutoff) == n * (n - 1)
+        assert converged.channels_after(cutoff) == n * (n - 1)
 
-    def test_short_tail_at_least_tree(self, converged_trace):
+    def test_short_tail_at_least_tree(self, converged_trace, converged):
         n = converged_trace.n
         to = int(converged_trace.scenario["timers"]["sender_timeout"])
         cutoff = converged_trace.horizon - 2 * to
-        assert audit_channel_usage(converged_trace, cutoff) >= n - 1
+        assert converged.channels_after(cutoff) >= n - 1
 
     def test_two_process_run_uses_both_channels(self):
         t = run(preset_dependable(2, seed=4, horizon=8_000))
-        conv = detect_convergence(t)
+        summary = summarize(t)
+        conv = summary.convergence()
         cutoff = default_cutoff(t, conv.step)
-        assert audit_channel_usage(t, cutoff) == 2
+        assert summary.channels_after(cutoff) == 2
+
+
+class TestSummaryViews:
+    def test_cutoff_edges_on_hand_built_events(self):
+        # cutoff 10; (kind, origin, seq, [(step, src, dst), ...]) per message
+        sends = [
+            ("failed", 3, 1, [(3, 3, 0)]),                     # channel 3->0 only before
+            ("start_phase", 0, 1, [(5, 0, 1), (12, 1, 2), (12, 1, 3)]),  # late forwards
+            ("alive", 1, 1, [(10, 1, 0)]),                     # sent at the cutoff
+            ("alive", 0, 2, [(11, 0, 1), (11, 0, 2), (13, 1, 3)]),
+            ("alive", 0, 3, [(14, 0, 1)]),
+            ("failed", 2, 1, [(15, 2, 0), (15, 2, 1)]),
+        ]
+        events = sorted(
+            (tr.Send(step, MessageId(origin, seq), kind, src, dst)
+             for kind, origin, seq, hops in sends for step, src, dst in hops),
+            key=lambda ev: ev.step,
+        )
+        scenario = preset_dependable(4, seed=0, horizon=100).to_dict()
+        summary = summarize(tr.Trace("x", scenario, events, [0] * 4, [False] * 4))
+        assert summary.origins_after(10) == {0, 2}
+        assert summary.packets_after(10) == {"alive": 3, "failed": 2}
+        assert summary.channels_after(10) == len({(0, 1), (0, 2), (1, 2), (1, 3),
+                                                  (2, 0), (2, 1)})
 
 
 class TestTimerBound:
@@ -133,7 +159,7 @@ class TestTimerBound:
             default_channel=Timely(bound),
         )
         t = run(scn)
-        conv = detect_convergence(t)
+        conv = summarize(t).convergence()
         assert conv is not None
         rep = audit_timer_bound(t, conv.leader)
         assert rep.stabilized
@@ -193,10 +219,18 @@ class TestReport:
         assert obj["origins_after_cutoff"] == [0]
 
     def test_report_on_dead_network(self):
-        scn = Scenario(n=3, horizon=5_000, seed=1, default_channel=Lossy())
-        rep = audit_report(run(scn))
+        # labelled as the preset, so only non-convergence keeps timer_growth empty
+        scn = Scenario(n=3, horizon=5_000, seed=1, default_channel=Lossy(),
+                       labels={"preset": "dependable", "leader": 0})
+        trace = run(scn)
+        rep = audit_report(trace)
         assert not rep.converged
         assert rep.leader is None
+        rep = audit_report(trace, cutoff=1_000)
+        assert rep.cutoff == 1_000
+        assert rep.max_packets_per_message_after_cutoff <= 2 * (3 - 1)
+        assert not rep.message_efficient and not rep.packet_efficient
+        assert rep.timer_growth == {}
 
     def test_report_is_pure(self, converged_trace):
         a = audit_report(converged_trace).to_json_obj()

@@ -1,5 +1,6 @@
 import io
 import json
+import string
 
 import pytest
 from hypothesis import given, settings
@@ -113,6 +114,9 @@ class TestScenarioIO:
         assert again.fingerprint() == scn.fingerprint()
 
 
+_ALNUM = string.ascii_letters + string.digits
+
+
 @st.composite
 def small_scenarios(draw):
     n = draw(st.integers(2, 5))
@@ -150,6 +154,9 @@ def small_scenarios(draw):
             st.integers(0, n - 1), st.integers(1, horizon), max_size=n - 1)),
         propagation=draw(st.none() | st.builds(
             GeneralPropagation, st.floats(0, 1), st.floats(0, 1), st.integers(1, 9))),
+        labels=draw(st.dictionaries(
+            st.text(_ALNUM, min_size=1, max_size=6), st.text(_ALNUM, max_size=6),
+            max_size=3)),
     )
 
 
@@ -314,7 +321,11 @@ def _exit_code(argv: list[str]) -> int:
         return exc.code
 
 
-# (scenario file body, or None for a valid one; CLI arguments; environment)
+_META = '{"t":"meta","fingerprint":"0","scenario":{"n":3,"horizon":100}}\n'
+_FINAL = '{"t":"final","leaders":[null,null,null],"crashed":[false,false,false]}\n'
+
+# (input body: scenario file lines after [scenario] for `run`, None for a valid
+# scenario, or the whole trace file for `audit`; CLI arguments; environment)
 BAD_INPUTS = {
     "channel bound 0": ("[channels]\ndefault = timely b=0\n", ["run"], {}),
     "empty delay window": ("[channels]\n0->1 = fair_lossy q=0.5 delay=9:2\n", ["run"], {}),
@@ -331,7 +342,15 @@ BAD_INPUTS = {
                           "--trials", "10"], {}),
     "crash step": (None, ["demo", "--n", "3", "--crash", "1@x"], {}),
     "demo horizon 0": (None, ["demo", "--n", "3", "--horizon", "0"], {}),
-    "trace event missing fields": (None, ["audit"], {}),
+    "trace event missing fields": (_META + '{"t":"send","step":1}\n' + _FINAL, ["audit"], {}),
+    "trace meta without fingerprint": (
+        '{"t":"meta","scenario":{"n":3,"horizon":100}}\n' + _FINAL, ["audit"], {}),
+    "trace scenario without horizon": (
+        '{"t":"meta","fingerprint":"0","scenario":{"n":3}}\n' + _FINAL, ["audit"], {}),
+    "trace final without crashed": (
+        _META + '{"t":"final","leaders":[null,null,null]}\n', ["audit"], {}),
+    "trace crashed list shorter than n": (
+        _META + '{"t":"final","leaders":[null,null,null],"crashed":[false]}\n', ["audit"], {}),
 }
 
 
@@ -339,17 +358,13 @@ BAD_INPUTS = {
 def test_bad_input_is_usage_error(tmp_path, capsys, monkeypatch, body, argv, env):
     for key, value in env.items():
         monkeypatch.setenv(key, value)
-    cfg = tmp_path / "scn.cfg"
-    cfg.write_text("[scenario]\nn = 3\nhorizon = 100\n" + (body or ""))
-    trace = tmp_path / "t.jsonl"
-    trace.write_text(
-        '{"t":"meta","fingerprint":"0","scenario":{"n":3,"horizon":100}}\n'
-        '{"t":"send","step":1}\n'
-        '{"t":"final","leaders":[null,null,null],"crashed":[false,false,false]}\n'
-    )
     if argv[0] == "run":
+        cfg = tmp_path / "scn.cfg"
+        cfg.write_text("[scenario]\nn = 3\nhorizon = 100\n" + (body or ""))
         argv = argv + ["--scenario", str(cfg), "--out", str(tmp_path / "out.jsonl")]
     elif argv[0] == "audit":
+        trace = tmp_path / "t.jsonl"
+        trace.write_text(body)
         argv = argv + ["--trace", str(trace)]
     assert _exit_code(argv) == 2
     assert "error" in capsys.readouterr().err
