@@ -2,7 +2,9 @@
 
 Exit status contract: 0 on success (for `audit`/`demo`: the trace is
 converged, message efficient, and packet efficient), 1 when an audit
-fails, 2 on usage or input errors.
+fails, 2 on usage or input errors.  Argparse checks the syntax of argv;
+the library code that uses a value checks it and raises a typed error;
+`main` alone turns such an error into `error: ...` and exit 2.
 """
 
 from __future__ import annotations
@@ -13,10 +15,10 @@ import hashlib
 import json
 import os
 import sys
-from typing import NoReturn
 
 from . import __version__
 from .audit import audit_report
+from .core import ConfigurationError
 from .montecarlo import (
     Mode,
     bitimely_connectivity_bound,
@@ -35,38 +37,39 @@ EXIT_AUDIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-def _usage_error(message: str) -> NoReturn:
-    print(f"error: {message}", file=sys.stderr)
-    raise SystemExit(EXIT_USAGE)
+# argparse reports a ValueError from a `type=` converter as
+# "invalid <converter's __name__> value: '...'" and exits 2
+def _seed(raw: str) -> int:
+    return int(raw)
 
 
-def _default_seed(args_seed: int | None) -> int:
-    if args_seed is not None:
-        return args_seed
-    env = os.environ.get("MPO_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            _usage_error(f"MPO_SEED must be an integer, got {env!r}")
-    return 0
+def _grid(kind):
+    def parse(raw: str) -> list:
+        values = [kind(tok) for tok in raw.split(",") if tok]
+        if not values:
+            raise argparse.ArgumentTypeError("empty parameter grid")
+        return values
+
+    parse.__name__ = f"comma-separated {kind.__name__}"
+    return parse
+
+
+def _crash(raw: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    pieces = [piece.partition("@") for piece in raw.split(",")]
+    return tuple(int(proc) for proc, _, _ in pieces), tuple(int(step) for _, _, step in pieces)
+
+
+_seed.__name__ = "integer (--seed or MPO_SEED)"
+_crash.__name__ = "PROC@STEP[,PROC@STEP...]"
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    try:
-        scn = parse_scenario_file(args.scenario)
-    except OSError as exc:
-        print(f"error: cannot read scenario: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ScenarioError as exc:
-        print(f"error: {args.scenario}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.seed is not None or "MPO_SEED" in os.environ:
-        scn.seed = _default_seed(args.seed)
+    scn = parse_scenario_file(args.scenario)
+    if args.seed is not None:
+        scn.seed = args.seed
     if args.horizon is not None:
         scn.horizon = args.horizon
-    validate_scenario(scn)
-    trace = run(scn)
+    trace = run(scn)  # validates the overridden scenario before anything runs
     write_trace_file(trace, args.out)
     print(f"wrote {len(trace.events)} events to {args.out} "
           f"(fingerprint {trace.fingerprint})")
@@ -74,21 +77,14 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    try:
-        trace = read_trace_file(args.trace)
-    except OSError as exc:
-        print(f"error: cannot read trace: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except TraceFormatError as exc:
-        print(f"error: {args.trace}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    scn = Scenario.from_dict(trace.scenario)  # a ScenarioError exits 2 through main
+    trace = read_trace_file(args.trace)
+    scn = Scenario.from_dict(trace.scenario)
     validate_scenario(scn)
     for name, values in (("leaders", trace.final_leaders), ("crashed", trace.crashed)):
         if len(values) != scn.n:
-            print(f"error: {args.trace}: final {name} must list n={scn.n} processes",
-                  file=sys.stderr)
-            return EXIT_USAGE
+            raise TraceFormatError(
+                f"{args.trace}: final {name} must list n={scn.n} processes"
+            )
     trace.scenario = scn.to_dict()
     report = audit_report(trace, cutoff=args.cutoff, window=args.window)
     payload = json.dumps(report.to_json_obj(), indent=2, sort_keys=True)
@@ -100,21 +96,12 @@ def cmd_audit(args: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_AUDIT_FAIL
 
 
-def _parse_grid(raw: str, kind):
-    try:
-        return [kind(tok) for tok in raw.split(",") if tok]
-    except ValueError:
-        _usage_error(f"bad grid value {raw!r}")
-
-
 def _config_hash(*parts) -> str:
     blob = json.dumps(parts, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
 def _emit_rows(rows: list[dict], out: str | None, as_json: bool) -> None:
-    if not rows:
-        return
     if as_json:
         payload = json.dumps(rows, indent=2, sort_keys=True) + "\n"
     else:
@@ -132,63 +119,46 @@ def _emit_rows(rows: list[dict], out: str | None, as_json: bool) -> None:
 
 
 def cmd_mc(args: argparse.Namespace) -> int:
-    if args.trials < 1:
-        print("error: --trials must be positive", file=sys.stderr)
-        return EXIT_USAGE
-    ns = _parse_grid(args.n, int)
-    ps = _parse_grid(args.p, float)
-    if not ns or not ps:
-        print("error: empty parameter grid", file=sys.stderr)
-        return EXIT_USAGE
-    seed = _default_seed(args.seed)
-    config = _config_hash(args.mode, ns, ps, args.trials, seed, args.cap)
+    config = _config_hash(args.mode, args.n, args.p, args.trials, args.seed, args.cap)
     rows: list[dict] = []
-    try:
-        if args.mode == "existence":
-            for n in ns:
-                for p in ps:
-                    single = mc_single_hop(n, p, args.trials, seed)
-                    multi = mc_multi_hop(n, p, args.trials, seed)
-                    rows.append({
-                        "mode": "single_hop", "n": n, "p": p, "trials": args.trials,
-                        "estimate": single.value, "stderr": single.stderr,
-                        "closed_form": closed_form_single_hop(n, p),
-                        "config": config,
-                    })
-                    rows.append({
-                        "mode": "multi_hop", "n": n, "p": p, "trials": args.trials,
-                        "estimate": multi.value, "stderr": multi.stderr,
-                        "closed_form": bitimely_connectivity_bound(n, p),
-                        "config": config,
-                    })
-        else:
-            mode = Mode.SINGLE_HOP if args.mode == "stability-single" else Mode.MULTI_HOP
-            for n in ns:
-                for p in ps:
-                    est = mc_stability(n, p, args.trials, seed, mode, cap=args.cap)
-                    q = p ** (n - 1)
-                    rows.append({
-                        "mode": args.mode, "n": n, "p": p, "trials": args.trials,
-                        "estimate": est.mean, "stderr": est.stderr,
-                        "closed_form": q / (1 - q) if q < 1 else float("inf"),
-                        "censored": est.censored, "cap": est.cap,
-                        "config": config,
-                    })
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    if args.mode == "existence":
+        for n in args.n:
+            for p in args.p:
+                single = mc_single_hop(n, p, args.trials, args.seed)
+                multi = mc_multi_hop(n, p, args.trials, args.seed)
+                rows.append({
+                    "mode": "single_hop", "n": n, "p": p, "trials": args.trials,
+                    "estimate": single.value, "stderr": single.stderr,
+                    "closed_form": closed_form_single_hop(n, p),
+                    "config": config,
+                })
+                rows.append({
+                    "mode": "multi_hop", "n": n, "p": p, "trials": args.trials,
+                    "estimate": multi.value, "stderr": multi.stderr,
+                    "closed_form": bitimely_connectivity_bound(n, p),
+                    "config": config,
+                })
+    else:
+        mode = Mode.SINGLE_HOP if args.mode == "stability-single" else Mode.MULTI_HOP
+        for n in args.n:
+            for p in args.p:
+                est = mc_stability(n, p, args.trials, args.seed, mode, cap=args.cap)
+                q = p ** (n - 1)
+                rows.append({
+                    "mode": args.mode, "n": n, "p": p, "trials": args.trials,
+                    "estimate": est.mean, "stderr": est.stderr,
+                    "closed_form": q / (1 - q) if q < 1 else float("inf"),
+                    "censored": est.censored, "cap": est.cap,
+                    "config": config,
+                })
     _emit_rows(rows, args.out, args.json)
     return EXIT_OK
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.trials < 1 or args.target <= 0:
-        print("error: --trials and --target must be positive", file=sys.stderr)
-        return EXIT_USAGE
-    ns = tuple(_parse_grid(args.n, int))
-    seed = _default_seed(args.seed)
-    config = _config_hash("sweep", args.target, ns, args.trials, seed, args.cap)
-    rows_raw = stability_sweep(args.target, ns, args.trials, seed, cap=args.cap)
+    ns = tuple(args.n)
+    config = _config_hash("sweep", args.target, ns, args.trials, args.seed, args.cap)
+    rows_raw = stability_sweep(args.target, ns, args.trials, args.seed, cap=args.cap)
     rows = [
         {"n": r.n, "p": r.p, "mean": r.mean, "stderr": r.stderr,
          "trials": r.trials, "censored": r.censored, "config": config}
@@ -198,25 +168,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_crash(raw: str | None) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    if raw is None:
-        return (), ()
-    victims, steps = [], []
-    for piece in raw.split(","):
-        proc, _, step = piece.partition("@")
-        try:
-            victims.append(int(proc))
-            steps.append(int(step))
-        except ValueError:
-            _usage_error(f"bad --crash {piece!r}; expected PROC@STEP")
-    return tuple(victims), tuple(steps)
-
-
 def cmd_demo(args: argparse.Namespace) -> int:
-    seed = _default_seed(args.seed)
-    victims, steps = _parse_crash(args.crash)
+    victims, steps = args.crash or ((), ())
     scn = preset_dependable(
-        args.n, seed, args.leader, horizon=args.horizon,
+        args.n, args.seed, args.leader, horizon=args.horizon,
         crash_victims=victims, crash_steps=steps,
     )
     validate_scenario(scn)
@@ -226,7 +181,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
     if args.out:
         write_trace_file(trace, args.out)
     report = audit_report(trace)
-    print(f"network: n={args.n} seed={seed} horizon={args.horizon} "
+    print(f"network: n={args.n} seed={args.seed} horizon={args.horizon} "
           f"designated leader={args.leader}")
     if victims:
         print("crashes: " + ", ".join(f"{v}@{s}" for v, s in zip(victims, steps)))
@@ -260,11 +215,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"mpo {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # argparse runs a string default through `type`, so a bad MPO_SEED exits 2 there
+    env_seed = os.environ.get("MPO_SEED")
+    seed = {"type": _seed, "default": "0" if env_seed is None else env_seed,
+            "help": "defaults to MPO_SEED, or else 0"}
 
     p_run = sub.add_parser("run", help="execute a scenario file, write a trace")
     p_run.add_argument("--scenario", required=True)
     p_run.add_argument("--out", required=True)
-    p_run.add_argument("--seed", type=int, default=None)
+    p_run.add_argument("--seed", type=_seed, default=env_seed,
+                       help="overrides the scenario's seed; defaults to MPO_SEED")
     p_run.add_argument("--horizon", type=int, default=None)
     p_run.set_defaults(func=cmd_run)
 
@@ -278,10 +238,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc = sub.add_parser("mc", help="Monte Carlo estimates vs closed forms")
     p_mc.add_argument("--mode", required=True,
                       choices=("existence", "stability-single", "stability-multi"))
-    p_mc.add_argument("--n", required=True, help="comma-separated sizes")
-    p_mc.add_argument("--p", required=True, help="comma-separated probabilities")
+    p_mc.add_argument("--n", type=_grid(int), required=True, help="comma-separated sizes")
+    p_mc.add_argument("--p", type=_grid(float), required=True,
+                      help="comma-separated probabilities")
     p_mc.add_argument("--trials", type=int, required=True)
-    p_mc.add_argument("--seed", type=int, default=None)
+    p_mc.add_argument("--seed", **seed)
     p_mc.add_argument("--cap", type=int, default=100_000)
     p_mc.add_argument("--out", default=None)
     p_mc.add_argument("--json", action="store_true")
@@ -291,9 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep", help="shrinking-p stability sweep at a fixed target level"
     )
     p_sweep.add_argument("--target", type=float, default=3.0)
-    p_sweep.add_argument("--n", default="8,16,32")
+    p_sweep.add_argument("--n", type=_grid(int), default="8,16,32")
     p_sweep.add_argument("--trials", type=int, default=2000)
-    p_sweep.add_argument("--seed", type=int, default=None)
+    p_sweep.add_argument("--seed", **seed)
     p_sweep.add_argument("--cap", type=int, default=10_000)
     p_sweep.add_argument("--out", default=None)
     p_sweep.add_argument("--json", action="store_true")
@@ -301,10 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_demo = sub.add_parser("demo", help="build a favorable scenario, run, audit")
     p_demo.add_argument("--n", type=int, required=True)
-    p_demo.add_argument("--seed", type=int, default=None)
+    p_demo.add_argument("--seed", **seed)
     p_demo.add_argument("--leader", type=int, default=0)
     p_demo.add_argument("--horizon", type=int, default=50_000)
-    p_demo.add_argument("--crash", default=None, help="PROC@STEP[,PROC@STEP...]")
+    p_demo.add_argument("--crash", type=_crash, default=None, help="PROC@STEP[,PROC@STEP...]")
     p_demo.add_argument("--out", default=None, help="also write the trace here")
     p_demo.add_argument("--emit-scenario", default=None,
                         help="also write the generated scenario config here")
@@ -313,18 +274,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit:
-        raise
-    except BrokenPipeError:
+    except BrokenPipeError:  # an OSError: a closed pipe downstream is not an input error
         return EXIT_OK
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ConfigurationError, ScenarioError, TraceFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -21,13 +21,19 @@ timer for some origin expires broadcasts `failed`, blaming its tree
 parent; the origin bumps that channel's weight.  Leadership is abandoned
 by broadcasting `stop_phase` with a higher phase number, which retires
 the old arborescence and heartbeat stream everywhere.
+
+On a topology that is not strongly connected, a process with no paths to
+everyone has no spanning arborescence: it never claims leadership and
+only follows the claims it hears.  A multi-hop leader needs timely paths
+to all processes, so such a process could never be one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
-from .arborescence import Arborescence, WeightedDigraph, min_arborescence
+from .arborescence import Arborescence, TopologyError, WeightedDigraph, min_arborescence
 
 
 class ConfigurationError(ValueError):
@@ -194,13 +200,14 @@ class MpoState:
     seen: set[MessageId]
     next_seq: int
     edges_ver: int = 0
-    _arb_cache: tuple[int, Arborescence] | None = field(
+    _arb_cache: tuple[int, Arborescence | None] | None = field(
         default=None, repr=False, compare=False
     )
     adjacency: tuple[frozenset[int], ...] | None = None
 
-    def own_min_arborescence(self) -> Arborescence:
-        """Minimum arborescence rooted at p over current edge weights (cached)."""
+    def own_min_arborescence(self) -> Arborescence | None:
+        """Minimum arborescence rooted at p over current edge weights (cached);
+        None when the topology gives p no path to some process."""
         if self._arb_cache is not None and self._arb_cache[0] == self.edges_ver:
             return self._arb_cache[1]
         present = None
@@ -208,7 +215,10 @@ class MpoState:
             adj = self.adjacency
             present = lambda u, v: v in adj[u]  # noqa: E731
         g = WeightedDigraph(n=self.n, w=self.edges, present=present)
-        arb = min_arborescence(g, self.p)
+        try:
+            arb = min_arborescence(g, self.p)
+        except TopologyError:
+            arb = None
         self._arb_cache = (self.edges_ver, arb)
         return arb
 
@@ -317,15 +327,16 @@ def on_sender_timeout(state: MpoState) -> tuple[MpoState, list[Packet]]:
     """Own-timer tick: re-evaluate leadership, emit the round's traffic.
 
     The candidate pool is every origin with a running timer and a stored
-    arborescence, plus p itself with a freshly computed one; lightest
-    weight wins, ties to the lowest id.  Gaining leadership installs the
-    fresh arborescence and broadcasts it; losing bumps the phase and
-    broadcasts stop_phase; a sitting leader emits one heartbeat, fanned
-    to everyone when the shout rotation lands on p itself.
+    arborescence, plus p itself with a freshly computed one if it has one;
+    lightest weight wins, ties to the lowest id, and no candidate means no
+    leader.  Gaining leadership installs the fresh arborescence and
+    broadcasts it; losing bumps the phase and broadcasts stop_phase; a
+    sitting leader emits one heartbeat, fanned to everyone when the shout
+    rotation lands on p itself.
     """
     p = state.p
     new_arb = state.own_min_arborescence()
-    best_weight, best_id = new_arb.weight, p
+    best_weight, best_id = (math.inf, None) if new_arb is None else (new_arb.weight, p)
     for r in range(state.n):
         if r == p:
             continue

@@ -31,6 +31,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .core import ConfigurationError
 
 _BATCH = 2048
 
@@ -62,12 +63,24 @@ class StabilityEstimate:
     cap: int
 
 
+def _check(n: int, p: float | None = None, trials: int | None = None,
+           cap: int | None = None, target: float | None = None) -> None:
+    """Reject an estimator parameter out of range; None skips a check."""
+    if n < 2:
+        raise ConfigurationError(f"need n >= 2, got n={n}")
+    if p is not None and not 0.0 <= p <= 1.0:
+        raise ConfigurationError(f"p must be a probability, got p={p}")
+    if trials is not None and trials < 1:
+        raise ConfigurationError(f"need at least one trial, got trials={trials}")
+    if cap is not None and cap < 1:
+        raise ConfigurationError(f"cap must be >= 1, got cap={cap}")
+    if target is not None and not 0.0 < target < math.inf:
+        raise ConfigurationError(f"target must be positive and finite, got target={target}")
+
+
 def closed_form_single_hop(n: int, p: float) -> float:
     """Exact probability that some node has timely direct channels to all others."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must be a probability")
+    _check(n, p)
     return 1.0 - (1.0 - p ** (n - 1)) ** n
 
 
@@ -77,8 +90,7 @@ def bitimely_connectivity_bound(n: int, p: float) -> float:
 
     Asymptotic in n; can be negative for small n.  Trend checks only.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
+    _check(n, p)
     ptilde = p * p
     return 1.0 - n * (1.0 - ptilde) ** (n - 1)
 
@@ -125,8 +137,7 @@ def _estimate(hits: int, trials: int) -> Estimate:
 
 def mc_single_hop(n: int, p: float, trials: int, seed: int) -> Estimate:
     """Fraction of sampled digraphs containing a single-hop leader."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    _check(n, p, trials)
     hits = sum(
         int(_has_single_hop_leader(adj).sum())
         for adj in _adjacency_batches(n, p, trials, seed)
@@ -137,8 +148,7 @@ def mc_single_hop(n: int, p: float, trials: int, seed: int) -> Estimate:
 def mc_multi_hop(n: int, p: float, trials: int, seed: int) -> Estimate:
     """Fraction of sampled digraphs containing a node that reaches everyone
     through timely edges."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    _check(n, p, trials)
     hits = sum(
         int(_has_multi_hop_leader(adj).sum())
         for adj in _adjacency_batches(n, p, trials, seed)
@@ -198,8 +208,7 @@ def mc_stability(
     for its first holding round after `cap` rounds is censored at 0);
     with any censoring the mean reads as a lower bound.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    _check(n, p, trials, cap)
     rng = np.random.default_rng(seed)
     WAITING, COUNTING, DONE, CENSORED = 0, 1, 2, 3
     status = np.full(trials, WAITING, dtype=np.int8)
@@ -241,10 +250,7 @@ def stability_regime_probability(n: int, target: float) -> float:
     bidirectionally timely graph and returns p = sqrt(ptilde), clipped
     into (0, 1).
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if target <= 0:
-        raise ValueError("target must be positive")
+    _check(n, target=target)
     ptilde = (math.log(n) - math.log(math.log(1.0 + target))) / n
     ptilde = min(max(ptilde, 1e-9), 1.0)
     return math.sqrt(ptilde)

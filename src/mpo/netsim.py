@@ -109,11 +109,6 @@ class Scenario:
             return per_origin[(src, dst)]
         return self.channels.get((src, dst), self.default_channel)
 
-    def out_neighbors(self, p: int) -> tuple[int, ...]:
-        if self.adjacency is None:
-            return tuple(q for q in range(self.n) if q != p)
-        return tuple(sorted(self.adjacency[p] - {p}))
-
     def to_dict(self) -> dict[str, Any]:
         def chanmap(d: dict[tuple[int, int], ChannelModel]) -> dict[str, str]:
             return {f"{u}->{v}": model_to_spec(m) for (u, v), m in sorted(d.items())}

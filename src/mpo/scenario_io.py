@@ -99,7 +99,10 @@ def parse_scenario(fh: TextIO, source: str = "<config>") -> Scenario:
 
 def parse_scenario_file(path: str) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh, source=path)
+        try:
+            return parse_scenario(fh, source=path)
+        except ScenarioError as exc:
+            raise ScenarioParseError(f"{path}: {exc}") from None
 
 
 def dump_scenario(scn: Scenario, fh: TextIO) -> None:

@@ -136,23 +136,44 @@ def _event_obj(ev: TraceEvent) -> dict[str, Any]:
 
 
 def _event_from_obj(obj: dict[str, Any]) -> TraceEvent:
+    """Event from its JSON object: a KeyError for a missing field, a
+    TypeError for a field of the wrong type (every field is an int, except
+    `kind`, a string, `old`/`new`, an int or null, and `mid`, two ints)."""
     t = obj["t"]
     if t == "send":
-        return Send(obj["step"], MessageId(*obj["mid"]), obj["kind"],
-                    obj["from"], obj["to"])
-    if t == "deliver":
-        return Deliver(obj["step"], MessageId(*obj["mid"]), obj["from"], obj["to"])
-    if t == "drop":
-        return Drop(obj["step"], MessageId(*obj["mid"]), obj["from"], obj["to"])
-    if t == "timer":
-        return TimerFired(obj["step"], obj["proc"], obj["subject"])
-    if t == "leader":
-        return LeaderChange(obj["step"], obj["proc"], obj["old"], obj["new"])
-    if t == "crash":
-        return Crash(obj["step"], obj["proc"])
-    if t == "phase":
-        return PhaseChange(obj["step"], obj["proc"], obj["origin"], obj["phase"])
-    raise TraceFormatError(f"unknown event type {t!r}")
+        step, mid, src, dst = obj["step"], MessageId(*obj["mid"]), obj["from"], obj["to"]
+        kind = obj["kind"]
+        if (type(step) is type(mid.origin) is type(mid.seq) is type(src) is type(dst) is int
+                and type(kind) is str):
+            return Send(step, mid, kind, src, dst)
+    elif t == "deliver":
+        step, mid, src, dst = obj["step"], MessageId(*obj["mid"]), obj["from"], obj["to"]
+        if type(step) is type(mid.origin) is type(mid.seq) is type(src) is type(dst) is int:
+            return Deliver(step, mid, src, dst)
+    elif t == "drop":
+        step, mid, src, dst = obj["step"], MessageId(*obj["mid"]), obj["from"], obj["to"]
+        if type(step) is type(mid.origin) is type(mid.seq) is type(src) is type(dst) is int:
+            return Drop(step, mid, src, dst)
+    elif t == "timer":
+        step, proc, subject = obj["step"], obj["proc"], obj["subject"]
+        if type(step) is type(proc) is type(subject) is int:
+            return TimerFired(step, proc, subject)
+    elif t == "leader":
+        step, proc, old, new = obj["step"], obj["proc"], obj["old"], obj["new"]
+        if (type(step) is type(proc) is int and (old is None or type(old) is int)
+                and (new is None or type(new) is int)):
+            return LeaderChange(step, proc, old, new)
+    elif t == "crash":
+        step, proc = obj["step"], obj["proc"]
+        if type(step) is type(proc) is int:
+            return Crash(step, proc)
+    elif t == "phase":
+        step, proc, origin, phase = obj["step"], obj["proc"], obj["origin"], obj["phase"]
+        if type(step) is type(proc) is type(origin) is type(phase) is int:
+            return PhaseChange(step, proc, origin, phase)
+    else:
+        raise TraceFormatError(f"unknown event type {t!r}")
+    raise TypeError("a field has the wrong type")
 
 
 def write_trace(trace: Trace, fh: TextIO) -> None:
@@ -177,7 +198,7 @@ def read_trace(lines: Iterable[str]) -> Trace:
         raise TraceFormatError("empty trace") from None
     except json.JSONDecodeError as exc:
         raise TraceFormatError(f"bad meta line: {exc}") from None
-    if meta.get("t") != "meta":
+    if type(meta) is not dict or meta.get("t") != "meta":
         raise TraceFormatError("first line must be the meta record")
 
     events: list[TraceEvent] = []
@@ -189,6 +210,8 @@ def read_trace(lines: Iterable[str]) -> Trace:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise TraceFormatError(f"line {lineno}: {exc}") from None
+        if type(obj) is not dict:
+            raise TraceFormatError(f"line {lineno}: not a JSON object")
         if obj.get("t") == "final":
             tail = obj
             break
@@ -218,4 +241,7 @@ def read_trace(lines: Iterable[str]) -> Trace:
 
 def read_trace_file(path: str) -> Trace:
     with open(path, "r", encoding="utf-8") as fh:
-        return read_trace(fh)
+        try:
+            return read_trace(fh)
+        except TraceFormatError as exc:
+            raise TraceFormatError(f"{path}: {exc}") from None

@@ -351,6 +351,26 @@ BAD_INPUTS = {
         _META + '{"t":"final","leaders":[null,null,null]}\n', ["audit"], {}),
     "trace crashed list shorter than n": (
         _META + '{"t":"final","leaders":[null,null,null],"crashed":[false]}\n', ["audit"], {}),
+    "trace meta line not an object": ("[1]\n" + _FINAL, ["audit"], {}),
+    "trace event line a list": (_META + "[1]\n" + _FINAL, ["audit"], {}),
+    "trace event line a string": (_META + '"str"\n' + _FINAL, ["audit"], {}),
+    "trace event line null": (_META + "null\n" + _FINAL, ["audit"], {}),
+    "trace step not an int": (
+        _META + '{"t":"send","step":"x","mid":[0,1],"kind":"alive","from":0,"to":1}\n'
+        + _FINAL, ["audit"], {}),
+    "trace mid not two ints": (
+        _META + '{"t":"send","step":1,"mid":[[1],2],"kind":"alive","from":0,"to":1}\n'
+        + _FINAL, ["audit"], {}),
+    "sweep n 1": (None, ["sweep", "--n", "1"], {}),
+    "sweep target nan": (None, ["sweep", "--target", "nan", "--n", "4", "--trials", "10"], {}),
+    "stability p above 1": (None, ["mc", "--mode", "stability-multi", "--n", "3",
+                                   "--p", "1.5", "--trials", "10"], {}),
+    "stability cap 0": (None, ["mc", "--mode", "stability-multi", "--n", "3", "--p", "0.5",
+                               "--cap", "0", "--trials", "10"], {}),
+    "stability n 1": (None, ["mc", "--mode", "stability-single", "--n", "1", "--p", "0.5",
+                             "--trials", "10"], {}),
+    "empty grid": (None, ["mc", "--mode", "existence", "--n", ",", "--p", "0.5",
+                          "--trials", "10"], {}),
 }
 
 

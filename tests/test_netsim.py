@@ -320,3 +320,15 @@ class TestNonCompleteTopology:
         for ev in t.events:
             if isinstance(ev, tr.Send):
                 assert ev.dst in adjacency[ev.src]
+
+    def test_process_without_paths_to_all_never_claims(self):
+        # 0 and 1 reach only each other; 2 reaches 0, and 1 through 0, so
+        # 2 alone has a spanning arborescence
+        adjacency = (frozenset({1}), frozenset({0}), frozenset({0}))
+        scn = Scenario(n=3, horizon=3000, seed=1, adjacency=adjacency)
+        t = run(scn)
+        assert t.events == run_reference(scn).events
+        claims = {ev.mid.origin for ev in t.events
+                  if isinstance(ev, tr.Send) and ev.kind == "start_phase"}
+        assert claims == {2}
+        assert t.final_leaders == [2, 2, 2]
