@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from .core import MessageId
+from .core import ConfigurationError, MessageId
 from .trace import Deliver, LeaderChange, Send, TimerFired, Trace
 
 
@@ -215,8 +215,13 @@ def audit_report(trace: Trace, cutoff: int | None = None,
     """One-stop report: convergence plus the efficiency audits at the cutoff.
 
     A run that does not converge is audited at the given cutoff or 0, is
-    neither message nor packet efficient, and gets no timer growth.
+    neither message nor packet efficient, and gets no timer growth.  A
+    given cutoff must lie in [0, horizon) and a given window in [1, horizon].
     """
+    if cutoff is not None and not 0 <= cutoff < trace.horizon:
+        raise ConfigurationError(f"cutoff {cutoff} outside [0, {trace.horizon})")
+    if window is not None and not 1 <= window <= trace.horizon:
+        raise ConfigurationError(f"window {window} outside [1, {trace.horizon}]")
     summary = summarize(trace)
     conv = summary.convergence(window)
     if cutoff is None:

@@ -103,12 +103,6 @@ class Scenario:
     propagation: GeneralPropagation | None = None
     labels: dict[str, Any] = field(default_factory=dict)
 
-    def channel_for(self, origin: int, src: int, dst: int) -> ChannelModel:
-        per_origin = self.origin_channels.get(origin)
-        if per_origin is not None and (src, dst) in per_origin:
-            return per_origin[(src, dst)]
-        return self.channels.get((src, dst), self.default_channel)
-
     def to_dict(self) -> dict[str, Any]:
         def chanmap(d: dict[tuple[int, int], ChannelModel]) -> dict[str, str]:
             return {f"{u}->{v}": model_to_spec(m) for (u, v), m in sorted(d.items())}
@@ -247,6 +241,19 @@ _DELIVERY_PHASE = 1
 _TIMER_PHASE = 0
 
 
+def _link(scn: Scenario, src: int, dst: int,
+          model: ChannelModel) -> tuple[ChannelModel, ChannelState]:
+    """A channel's model with its run state; a strongly non-timely model's
+    suppression windows are laid out here, once per run."""
+    state = ChannelState()
+    if isinstance(model, StronglyNonTimely):
+        state.windows = suppression_windows(
+            scn.seed, src, dst, model.burst, model.window_cap, scn.horizon,
+            start_after=model.quiet_until,
+        )
+    return model, state
+
+
 class _Engine:
     def __init__(self, scn: Scenario):
         validate_scenario(scn)
@@ -262,12 +269,22 @@ class _Engine:
         self.delivery_heap: list[tuple[int, int, Packet]] = []
         self.timer_heap: list[tuple[int, int, int, int]] = []
         self.timer_ver: dict[tuple[int, int], int] = {}
-        self.channel_states: dict[tuple[int, int], ChannelState] = {}
         self.prop_graphs: dict = {}
         self.crash_queue = sorted(
             (step, p) for p, step in scn.crash_schedule.items()
         )
         self.crash_idx = 0
+        # origin -> (src, dst) -> the link's (model, state); origins without
+        # overrides share one table
+        links = {
+            (u, v): _link(scn, u, v, scn.channels.get((u, v), scn.default_channel))
+            for u in range(scn.n) for v in range(scn.n) if u != v
+        }
+        self.links = [links] * scn.n
+        for origin, pairs in scn.origin_channels.items():
+            self.links[origin] = links | {
+                (u, v): _link(scn, u, v, model) for (u, v), model in pairs.items()
+            }
         for p in range(scn.n):
             for q in range(scn.n):
                 self.timer_ver[(p, q)] = 0
@@ -275,18 +292,6 @@ class _Engine:
             heappush(self.timer_heap, (scn.timers.sender_timeout, p, p, 0))
 
     # -- channels ----------------------------------------------------------
-
-    def _channel_state(self, src: int, dst: int, model: ChannelModel) -> ChannelState:
-        cs = self.channel_states.get((src, dst))
-        if cs is None:
-            cs = ChannelState()
-            if isinstance(model, StronglyNonTimely):
-                cs.windows = suppression_windows(
-                    self.scn.seed, src, dst, model.burst, model.window_cap,
-                    self.scn.horizon, start_after=model.quiet_until,
-                )
-            self.channel_states[(src, dst)] = cs
-        return cs
 
     def _propagation_graphs(self, mid) -> tuple[set, set]:
         graphs = self.prop_graphs.get(mid)
@@ -316,8 +321,7 @@ class _Engine:
             if edge in timely:
                 return step + self.rng.randint(1, b)
             return step + self.rng.randint(b + 1, 4 * b)
-        model = self.scn.channel_for(pkt.msg_id.origin, pkt.src, pkt.dst)
-        state = self._channel_state(pkt.src, pkt.dst, model)
+        model, state = self.links[pkt.msg_id.origin][pkt.src, pkt.dst]
         return schedule_delivery(model, pkt, step, self.rng, state)
 
     def _route(self, packets: list[Packet], step: int) -> None:

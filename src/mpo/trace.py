@@ -3,15 +3,9 @@
 A Trace is the sole input to every auditor, so it carries enough to be
 self-describing: the scenario (as a plain dict) and its fingerprint on
 the first line, one event per line, and the final leader outputs on the
-last line.  Event field names are a stable contract:
-
-    {"t":"send","step":S,"mid":[origin,seq],"kind":K,"from":F,"to":T}
-    {"t":"deliver","step":S,"mid":[origin,seq],"from":F,"to":T}
-    {"t":"drop","step":S,"mid":[origin,seq],"from":F,"to":T}
-    {"t":"timer","step":S,"proc":P,"subject":Q}
-    {"t":"leader","step":S,"proc":P,"old":X,"new":Y}      # null = no leader
-    {"t":"crash","step":S,"proc":P}
-    {"t":"phase","step":S,"proc":P,"origin":Q,"phase":N}
+last line.  Each line is canonical JSON.  `EVENT_FORMAT` is the event
+contract: the writer and the reader walk it, and the reader holds every
+value to its check against the n and horizon of the meta record.
 """
 
 from __future__ import annotations
@@ -19,13 +13,14 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any, Iterable, TextIO
+from operator import attrgetter, itemgetter
+from typing import Any, Iterable, NoReturn, TextIO, get_args
 
-from .core import MessageId
+from .core import Message, MessageId
 
 
 class TraceFormatError(ValueError):
-    """Unreadable or truncated trace file."""
+    """Unreadable, truncated or out-of-range trace file."""
 
 
 @dataclass(slots=True, frozen=True)
@@ -107,82 +102,80 @@ class Trace:
         return [p for p in range(self.n) if not self.crashed[p]]
 
 
+# the one JSON form of trace lines, scenario fingerprints and configuration
+# hashes: keys sorted, no spaces, a MessageId written as [origin, seq]
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                                  default=attrgetter("origin", "seq")).encode
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def fingerprint_scenario(scenario: dict[str, Any]) -> str:
-    blob = json.dumps(scenario, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+    return hashlib.sha256(canonical_json(scenario).encode()).hexdigest()[:16]
 
 
-def _event_obj(ev: TraceEvent) -> dict[str, Any]:
-    if isinstance(ev, Send):
-        return {"t": "send", "step": ev.step, "mid": [ev.mid.origin, ev.mid.seq],
-                "kind": ev.kind, "from": ev.src, "to": ev.dst}
-    if isinstance(ev, Deliver):
-        return {"t": "deliver", "step": ev.step, "mid": [ev.mid.origin, ev.mid.seq],
-                "from": ev.src, "to": ev.dst}
-    if isinstance(ev, Drop):
-        return {"t": "drop", "step": ev.step, "mid": [ev.mid.origin, ev.mid.seq],
-                "from": ev.src, "to": ev.dst}
-    if isinstance(ev, TimerFired):
-        return {"t": "timer", "step": ev.step, "proc": ev.proc, "subject": ev.subject}
-    if isinstance(ev, LeaderChange):
-        return {"t": "leader", "step": ev.step, "proc": ev.proc,
-                "old": ev.old, "new": ev.new}
-    if isinstance(ev, Crash):
-        return {"t": "crash", "step": ev.step, "proc": ev.proc}
-    if isinstance(ev, PhaseChange):
-        return {"t": "phase", "step": ev.step, "proc": ev.proc,
-                "origin": ev.origin, "phase": ev.phase}
-    raise TypeError(f"unknown event {ev!r}")
+# A check takes a field's JSON value and the trace's n, and returns the
+# field's value or raises ValueError.  Bools are not ints.
+def _bad(value: Any, what: str) -> NoReturn:
+    raise ValueError(f"{value!r} is not {what}")
 
 
-def _event_from_obj(obj: dict[str, Any]) -> TraceEvent:
-    """Event from its JSON object: a KeyError for a missing field, a
-    TypeError for a field of the wrong type (every field is an int, except
-    `kind`, a string, `old`/`new`, an int or null, and `mid`, two ints)."""
-    t = obj["t"]
-    if t == "send":
-        step, mid, src, dst = obj["step"], MessageId(*obj["mid"]), obj["from"], obj["to"]
-        kind = obj["kind"]
-        if (type(step) is type(mid.origin) is type(mid.seq) is type(src) is type(dst) is int
-                and type(kind) is str):
-            return Send(step, mid, kind, src, dst)
-    elif t == "deliver":
-        step, mid, src, dst = obj["step"], MessageId(*obj["mid"]), obj["from"], obj["to"]
-        if type(step) is type(mid.origin) is type(mid.seq) is type(src) is type(dst) is int:
-            return Deliver(step, mid, src, dst)
-    elif t == "drop":
-        step, mid, src, dst = obj["step"], MessageId(*obj["mid"]), obj["from"], obj["to"]
-        if type(step) is type(mid.origin) is type(mid.seq) is type(src) is type(dst) is int:
-            return Drop(step, mid, src, dst)
-    elif t == "timer":
-        step, proc, subject = obj["step"], obj["proc"], obj["subject"]
-        if type(step) is type(proc) is type(subject) is int:
-            return TimerFired(step, proc, subject)
-    elif t == "leader":
-        step, proc, old, new = obj["step"], obj["proc"], obj["old"], obj["new"]
-        if (type(step) is type(proc) is int and (old is None or type(old) is int)
-                and (new is None or type(new) is int)):
-            return LeaderChange(step, proc, old, new)
-    elif t == "crash":
-        step, proc = obj["step"], obj["proc"]
-        if type(step) is type(proc) is int:
-            return Crash(step, proc)
-    elif t == "phase":
-        step, proc, origin, phase = obj["step"], obj["proc"], obj["origin"], obj["phase"]
-        if type(step) is type(proc) is type(origin) is type(phase) is int:
-            return PhaseChange(step, proc, origin, phase)
-    else:
-        raise TraceFormatError(f"unknown event type {t!r}")
-    raise TypeError("a field has the wrong type")
+def _count(v: Any, n: int = 0) -> int:
+    return v if type(v) is int and v >= 0 else _bad(v, "an int >= 0")
+
+
+def _proc(v: Any, n: int) -> int:
+    return v if type(v) is int and 0 <= v < n else _bad(v, f"a process in [0, {n})")
+
+
+def _leader(v: Any, n: int) -> int | None:  # null: no leader
+    return v if v is None else _proc(v, n)
+
+
+_KINDS = frozenset(message.kind for message in get_args(Message))
+
+
+def _kind(v: Any, n: int) -> str:
+    return v if type(v) is str and v in _KINDS else _bad(v, f"one of {sorted(_KINDS)}")
+
+
+def _mid(v: Any, n: int) -> MessageId:
+    origin, seq = v if type(v) is list and len(v) == 2 else _bad(v, "[origin, seq]")
+    return MessageId(_proc(origin, n), _count(seq))
+
+
+# event class -> ("t" tag, the fields after `step` in declaration order, each
+# (attribute, JSON key, check)).  Every event also has a "step", which lies in
+# [0, horizon] and never decreases from one event to the next.
+EVENT_FORMAT = {
+    Send: ("send", (("mid", "mid", _mid), ("kind", "kind", _kind),
+                    ("src", "from", _proc), ("dst", "to", _proc))),
+    Deliver: ("deliver", (("mid", "mid", _mid), ("src", "from", _proc),
+                          ("dst", "to", _proc))),
+    Drop: ("drop", (("mid", "mid", _mid), ("src", "from", _proc), ("dst", "to", _proc))),
+    TimerFired: ("timer", (("proc", "proc", _proc), ("subject", "subject", _proc))),
+    LeaderChange: ("leader", (("proc", "proc", _proc), ("old", "old", _leader),
+                              ("new", "new", _leader))),
+    Crash: ("crash", (("proc", "proc", _proc),)),
+    PhaseChange: ("phase", (("proc", "proc", _proc), ("origin", "origin", _proc),
+                            ("phase", "phase", _count))),
+}
+# the table by class for the writer: (tag, JSON keys, getter of their values),
+# and by tag for the reader: (class, getter of the JSON values, their checks)
+_ENCODE, _DECODE = {}, {}
+for _cls, (_tag, _fields) in EVENT_FORMAT.items():
+    _attrs, _keys, _checks = zip(*_fields)
+    _ENCODE[_cls] = (_tag, ("step", *_keys), attrgetter("step", *_attrs))
+    _DECODE[_tag] = (_cls, itemgetter("step", *_keys), _checks)
 
 
 def write_trace(trace: Trace, fh: TextIO) -> None:
     meta = {"t": "meta", "fingerprint": trace.fingerprint, "scenario": trace.scenario}
-    fh.write(json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n")
+    fh.write(canonical_json(meta) + "\n")
     for ev in trace.events:
-        fh.write(json.dumps(_event_obj(ev), sort_keys=True, separators=(",", ":")) + "\n")
+        tag, keys, values = _ENCODE[type(ev)]
+        fh.write(canonical_json(dict(zip(keys, values(ev)), t=tag)) + "\n")
     tail = {"t": "final", "leaders": trace.final_leaders, "crashed": trace.crashed}
-    fh.write(json.dumps(tail, sort_keys=True, separators=(",", ":")) + "\n")
+    fh.write(canonical_json(tail) + "\n")
 
 
 def write_trace_file(trace: Trace, path: str) -> None:
@@ -190,53 +183,59 @@ def write_trace_file(trace: Trace, path: str) -> None:
         write_trace(trace, fh)
 
 
-def read_trace(lines: Iterable[str]) -> Trace:
-    it = iter(lines)
+def _record(line: str, lineno: int) -> dict[str, Any]:
+    # `json.loads`, less the whitespace scans that are ~40% of its cost on a trace line
     try:
-        meta = json.loads(next(it))
-    except StopIteration:
-        raise TraceFormatError("empty trace") from None
+        obj, end = _raw_decode(line, len(line) - len(line.lstrip(" \t\n\r")))
+        if line[end:].strip(" \t\n\r"):
+            raise json.JSONDecodeError("Extra data", line, end)
     except json.JSONDecodeError as exc:
-        raise TraceFormatError(f"bad meta line: {exc}") from None
-    if type(meta) is not dict or meta.get("t") != "meta":
-        raise TraceFormatError("first line must be the meta record")
+        raise TraceFormatError(f"line {lineno}: {exc}") from None
+    if type(obj) is not dict:
+        raise TraceFormatError(f"line {lineno}: not a JSON object")
+    return obj
 
+
+def read_trace(lines: Iterable[str]) -> Trace:
+    """Trace from its JSON lines; a TraceFormatError unless every record is
+    well-formed and every value passes its check."""
+    it = iter(lines)
+    meta = _record(next(it, ""), 1)
+    fp, scenario = meta.get("fingerprint"), meta.get("scenario")
+    if meta.get("t") != "meta" or type(fp) is not str or type(scenario) is not dict:
+        raise TraceFormatError("line 1 must be the meta record, with a string"
+                               " 'fingerprint' and a 'scenario' object")
+    try:
+        n, horizon = _count(scenario.get("n")), _count(scenario.get("horizon"))
+    except ValueError as exc:
+        raise TraceFormatError(f"meta record: scenario n or horizon: {exc}") from None
     events: list[TraceEvent] = []
-    tail: dict[str, Any] | None = None
+    last = 0
     for lineno, line in enumerate(it, start=2):
         if not line.strip():
             continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TraceFormatError(f"line {lineno}: {exc}") from None
-        if type(obj) is not dict:
-            raise TraceFormatError(f"line {lineno}: not a JSON object")
-        if obj.get("t") == "final":
-            tail = obj
+        obj = _record(line, lineno)
+        tag = obj.get("t")
+        if tag == "final":
             break
-        try:
-            events.append(_event_from_obj(obj))
-        except (KeyError, TypeError) as exc:
-            raise TraceFormatError(
-                f"line {lineno}: malformed {obj.get('t')!r} event"
-                f" ({type(exc).__name__}: {exc})"
-            ) from None
-    if tail is None:
+        try:  # a KeyError for a missing field, a ValueError for a bad value
+            if type(tag) is not str or tag not in _DECODE:
+                _bad(tag, "an event type")
+            cls, values, checks = _DECODE[tag]
+            step, *fields = values(obj)
+            if type(step) is not int or not last <= step <= horizon:
+                _bad(step, f"a step in [{last}, {horizon}]")
+            events.append(cls(step, *[check(v, n) for check, v in zip(checks, fields)]))
+        except (KeyError, ValueError) as exc:
+            raise TraceFormatError(f"line {lineno}: bad {tag!r} event: {exc!r}") from None
+        last = step
+    else:
         raise TraceFormatError("truncated trace: missing final record")
-    for record, key, kind in ((meta, "fingerprint", str), (meta, "scenario", dict),
-                              (tail, "leaders", list), (tail, "crashed", list)):
-        if not isinstance(record.get(key), kind):
-            raise TraceFormatError(
-                f"{record['t']} record: {key!r} missing or not a {kind.__name__}"
-            )
-    return Trace(
-        fingerprint=meta["fingerprint"],
-        scenario=meta["scenario"],
-        events=events,
-        final_leaders=tail["leaders"],
-        crashed=tail["crashed"],
-    )
+    finals = obj.get("leaders"), obj.get("crashed")
+    if not all(type(entries) is list and len(entries) == n for entries in finals):
+        raise TraceFormatError(
+            f"final record: 'leaders' and 'crashed' must list n={n} processes")
+    return Trace(fp, scenario, events, *finals)
 
 
 def read_trace_file(path: str) -> Trace:

@@ -361,6 +361,50 @@ BAD_INPUTS = {
     "trace mid not two ints": (
         _META + '{"t":"send","step":1,"mid":[[1],2],"kind":"alive","from":0,"to":1}\n'
         + _FINAL, ["audit"], {}),
+    # values the reader checks against the meta record's n=3 and horizon=100
+    "trace step past the horizon": (_META + '{"t":"crash","step":101,"proc":0}\n' + _FINAL,
+                                    ["audit"], {}),
+    "trace step negative": (
+        _META + '{"t":"send","step":-5,"mid":[0,0],"kind":"alive","from":0,"to":1}\n'
+        + _FINAL, ["audit"], {}),
+    "trace step decreases": (
+        _META + '{"t":"crash","step":5,"proc":0}\n{"t":"crash","step":4,"proc":1}\n'
+        + _FINAL, ["audit"], {}),
+    "trace proc out of range": (
+        _META + '{"t":"leader","step":9,"proc":9,"old":null,"new":1}\n' + _FINAL,
+        ["audit"], {}),
+    "trace subject out of range": (
+        _META + '{"t":"timer","step":9,"proc":0,"subject":3}\n' + _FINAL, ["audit"], {}),
+    "trace phase origin out of range": (
+        _META + '{"t":"phase","step":9,"proc":0,"origin":-1,"phase":1}\n' + _FINAL,
+        ["audit"], {}),
+    "trace from out of range": (
+        _META + '{"t":"deliver","step":9,"mid":[0,0],"from":3,"to":1}\n' + _FINAL,
+        ["audit"], {}),
+    "trace to out of range": (
+        _META + '{"t":"drop","step":9,"mid":[0,0],"from":0,"to":7}\n' + _FINAL,
+        ["audit"], {}),
+    "trace mid origin out of range": (
+        _META + '{"t":"send","step":9,"mid":[3,0],"kind":"alive","from":0,"to":1}\n'
+        + _FINAL, ["audit"], {}),
+    "trace old leader out of range": (
+        _META + '{"t":"leader","step":9,"proc":0,"old":5,"new":0}\n' + _FINAL, ["audit"], {}),
+    "trace new leader out of range": (
+        _META + '{"t":"leader","step":9,"proc":0,"old":null,"new":3}\n' + _FINAL,
+        ["audit"], {}),
+    "trace seq negative": (
+        _META + '{"t":"send","step":9,"mid":[0,-1],"kind":"alive","from":0,"to":1}\n'
+        + _FINAL, ["audit"], {}),
+    "trace phase negative": (
+        _META + '{"t":"phase","step":9,"proc":0,"origin":0,"phase":-2}\n' + _FINAL,
+        ["audit"], {}),
+    "trace unknown kind": (
+        _META + '{"t":"send","step":9,"mid":[0,0],"kind":"zzz","from":0,"to":1}\n'
+        + _FINAL, ["audit"], {}),
+    "audit cutoff -5": (_META + _FINAL, ["audit", "--cutoff", "-5"], {}),
+    "audit cutoff past the horizon": (_META + _FINAL, ["audit", "--cutoff", "99999999"], {}),
+    "audit window 0": (_META + _FINAL, ["audit", "--window", "0"], {}),
+    "audit window -3": (_META + _FINAL, ["audit", "--window", "-3"], {}),
     "sweep n 1": (None, ["sweep", "--n", "1"], {}),
     "sweep target nan": (None, ["sweep", "--target", "nan", "--n", "4", "--trials", "10"], {}),
     "stability p above 1": (None, ["mc", "--mode", "stability-multi", "--n", "3",
@@ -387,4 +431,4 @@ def test_bad_input_is_usage_error(tmp_path, capsys, monkeypatch, body, argv, env
         trace.write_text(body)
         argv = argv + ["--trace", str(trace)]
     assert _exit_code(argv) == 2
-    assert "error" in capsys.readouterr().err
+    assert "error:" in capsys.readouterr().err

@@ -9,6 +9,7 @@ from mpo.channels import (
     Lossy,
     StronglyNonTimely,
     Timely,
+    suppression_windows,
 )
 from mpo.core import TimerConfig
 from mpo.netsim import (
@@ -71,6 +72,24 @@ class TestReferenceEquivalence:
         scn = Scenario(n=3, horizon=400, seed=5,
                        propagation=GeneralPropagation(0.7, 0.6, bound=3))
         assert run(scn).events == run_reference(scn).events
+
+    def test_per_origin_windows_whoever_sends_first(self):
+        # origin 2's override on 0->1 keeps its own suppression windows even
+        # though other origins' packets reach that channel first
+        scn = Scenario(
+            n=3, horizon=6000, seed=1, default_channel=Timely(1),
+            origin_channels={2: {(0, 1): StronglyNonTimely(
+                burst=64, window_cap=64, delay_min=1, delay_max=1)}},
+        )
+        trace = run(scn)
+        windows = suppression_windows(1, 0, 1, 64, 64, 6000)
+        delivered = [ev.step for ev in trace.events
+                     if isinstance(ev, tr.Deliver) and (ev.src, ev.dst) == (0, 1)
+                     and ev.mid.origin == 2]
+        assert delivered
+        assert not [step for step in delivered
+                    if any(start <= step < end for start, end in windows)]
+        assert trace.events == run_reference(scn).events
 
 
 class TestStepSemantics:

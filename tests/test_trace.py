@@ -1,10 +1,14 @@
 import io
+import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mpo.core import MessageId
+from mpo.core import Alive, Failed, MessageId, StartPhase, StopPhase
 from mpo.netsim import preset_dependable, run
 from mpo.trace import (
+    Crash,
     Deliver,
     Drop,
     LeaderChange,
@@ -13,6 +17,7 @@ from mpo.trace import (
     TimerFired,
     Trace,
     TraceFormatError,
+    fingerprint_scenario,
     read_trace,
     write_trace,
 )
@@ -72,3 +77,82 @@ def test_correct_processes_excludes_crashed():
                                   crash_victims=(2,), crash_steps=(1000,)))
     assert trace.correct_processes() == [0, 1, 3]
     assert trace.crashed[2]
+
+
+KINDS = [message.kind for message in (StartPhase, StopPhase, Alive, Failed)]
+
+
+@st.composite
+def traces(draw):
+    """A trace of n <= 5 processes whose time-ordered events, of all seven
+    kinds, lie within range."""
+    n = draw(st.integers(1, 5))
+    horizon = draw(st.integers(0, 300))
+    procs = st.integers(0, n - 1)
+    leaders = st.none() | procs
+    counts = st.integers(0, 10**6)
+    mids = st.builds(MessageId, procs, counts)
+    kinds = [
+        lambda s: st.builds(Send, st.just(s), mids, st.sampled_from(KINDS), procs, procs),
+        lambda s: st.builds(Deliver, st.just(s), mids, procs, procs),
+        lambda s: st.builds(Drop, st.just(s), mids, procs, procs),
+        lambda s: st.builds(TimerFired, st.just(s), procs, procs),
+        lambda s: st.builds(LeaderChange, st.just(s), procs, leaders, leaders),
+        lambda s: st.builds(Crash, st.just(s), procs),
+        lambda s: st.builds(PhaseChange, st.just(s), procs, procs, counts),
+    ]
+    steps = sorted(draw(st.lists(st.integers(0, horizon), max_size=20)))
+    events = [draw(draw(st.sampled_from(kinds))(step)) for step in steps]
+    scenario = {"n": n, "horizon": horizon, "labels": draw(st.dictionaries(
+        st.text(max_size=4), st.text(max_size=4), max_size=2))}
+    return Trace(fingerprint_scenario(scenario), scenario, events,
+                 draw(st.lists(leaders, min_size=n, max_size=n)),
+                 draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+
+
+def written(trace: Trace) -> str:
+    buf = io.StringIO()
+    write_trace(trace, buf)
+    return buf.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(traces())
+def test_codec_round_trips(trace):
+    text = written(trace)
+    again = read_trace(io.StringIO(text))
+    assert again.events == trace.events
+    assert again.final_leaders == trace.final_leaders
+    assert again.crashed == trace.crashed
+    assert (again.fingerprint, again.scenario) == (trace.fingerprint, trace.scenario)
+    assert written(again) == text
+
+
+def bad_values(key: str, n: int, horizon: int, last_step: int) -> list:
+    """Values outside the range, or of the wrong type, for an event field."""
+    wrong_type = ["1", 1.0, True, [0], {}]
+    if key == "step":
+        return [-1, horizon + 1, None, *wrong_type] + ([last_step - 1] if last_step else [])
+    if key == "mid":
+        return [[n, 0], [-1, 0], [0, -1], [0], [0, 0, 0], [0, True], [0.0, 0], "0,0", None]
+    if key == "kind":
+        return ["zzz", "Alive", "", None, 1]
+    if key == "phase":
+        return [-1, None, *wrong_type]
+    if key in ("old", "new"):  # null is a valid leader
+        return [n, -1, *wrong_type]
+    return [n, -1, None, *wrong_type]  # a process
+
+
+@settings(max_examples=300, deadline=None)
+@given(traces().filter(lambda t: t.events), st.data())
+def test_one_bad_field_is_rejected(trace, data):
+    lines = written(trace).splitlines(keepends=True)
+    index = data.draw(st.integers(0, len(trace.events) - 1))
+    obj = json.loads(lines[1 + index])
+    key = data.draw(st.sampled_from(sorted(k for k in obj if k != "t")))
+    last_step = trace.events[index - 1].step if index else 0
+    obj[key] = data.draw(st.sampled_from(bad_values(key, trace.n, trace.horizon, last_step)))
+    lines[1 + index] = json.dumps(obj) + "\n"
+    with pytest.raises(TraceFormatError, match=f"line {2 + index}:"):
+        read_trace(io.StringIO("".join(lines)))
