@@ -4,8 +4,9 @@ A Trace is the sole input to every auditor, so it carries enough to be
 self-describing: the scenario (as a plain dict) and its fingerprint on
 the first line, one event per line, and the final leader outputs on the
 last line.  Each line is canonical JSON.  `EVENT_FORMAT` is the event
-contract: the writer and the reader walk it, and the reader holds every
-value to its check against the n and horizon of the meta record.
+contract: the writer's line templates and the reader's checks are both
+built from it at import, and the reader holds every value to its check
+against the n and horizon of the meta record.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from operator import attrgetter, itemgetter
-from typing import Any, Iterable, NoReturn, TextIO, get_args
+from typing import Any, Callable, Iterable, NoReturn, TextIO, get_args
 
 from .core import Message, MessageId
 
@@ -103,7 +104,8 @@ class Trace:
 
 
 # the one JSON form of trace lines, scenario fingerprints and configuration
-# hashes: keys sorted, no spaces, a MessageId written as [origin, seq]
+# hashes: keys sorted, no spaces, a MessageId written as [origin, seq]; the
+# event line templates below write the same bytes
 canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
                                   default=attrgetter("origin", "seq")).encode
 _raw_decode = json.JSONDecoder().raw_decode
@@ -159,23 +161,46 @@ EVENT_FORMAT = {
     PhaseChange: ("phase", (("proc", "proc", _proc), ("origin", "origin", _proc),
                             ("phase", "phase", _count))),
 }
-# the table by class for the writer: (tag, JSON keys, getter of their values),
-# and by tag for the reader: (class, getter of the JSON values, their checks)
-_ENCODE, _DECODE = {}, {}
-for _cls, (_tag, _fields) in EVENT_FORMAT.items():
-    _attrs, _keys, _checks = zip(*_fields)
-    _ENCODE[_cls] = (_tag, ("step", *_keys), attrgetter("step", *_attrs))
-    _DECODE[_tag] = (_cls, itemgetter("step", *_keys), _checks)
+# how the writer renders a field that passes a check: its %-format, and the
+# attribute paths under the field whose values fill the format
+_RENDER = {_count: ("%d", ("",)), _proc: ("%d", ("",)), _leader: ("%s", ("",)),
+           _kind: ('"%s"', ("",)), _mid: ("[%d,%d]", (".origin", ".seq"))}
+# so a kind needs no escaping inside its quotes
+assert all(canonical_json(kind) == f'"{kind}"' for kind in _KINDS)
+
+
+def _encoder(tag: str, fields: tuple) -> Callable[[Any], str]:
+    """`event -> its line`: one %-template with the keys in sorted order, filled
+    from one attrgetter; a leader of None is written as null."""
+    formats = {"t": (canonical_json(tag), ()), "step": ("%d", ("step",))}
+    for attr, key, check in fields:
+        fmt, subs = _RENDER[check]
+        formats[key] = (fmt, tuple(attr + sub for sub in subs))
+    keys = sorted(formats)
+    template = "{%s}\n" % ",".join(f"{canonical_json(k)}:{formats[k][0]}" for k in keys)
+    values = attrgetter(*[path for k in keys for path in formats[k][1]])
+    if any(check is _leader for *_, check in fields):
+        return lambda ev: template % tuple(["null" if v is None else v for v in values(ev)])
+    return lambda ev: template % values(ev)
+
+
+# the table by class for the writer: the event's encoder, and by tag for the
+# reader: (class, getter of the JSON values, their checks)
+_ENCODE = {cls: _encoder(tag, fields) for cls, (tag, fields) in EVENT_FORMAT.items()}
+_DECODE = {tag: (cls, itemgetter("step", *[key for _, key, _ in fields]),
+                 tuple(check for *_, check in fields))
+           for cls, (tag, fields) in EVENT_FORMAT.items()}
 
 
 def write_trace(trace: Trace, fh: TextIO) -> None:
-    meta = {"t": "meta", "fingerprint": trace.fingerprint, "scenario": trace.scenario}
-    fh.write(canonical_json(meta) + "\n")
+    """Write `trace` as JSON lines; `fh` needs only a `write` method."""
+    write = fh.write
+    write(canonical_json({"t": "meta", "fingerprint": trace.fingerprint,
+                          "scenario": trace.scenario}) + "\n")
     for ev in trace.events:
-        tag, keys, values = _ENCODE[type(ev)]
-        fh.write(canonical_json(dict(zip(keys, values(ev)), t=tag)) + "\n")
-    tail = {"t": "final", "leaders": trace.final_leaders, "crashed": trace.crashed}
-    fh.write(canonical_json(tail) + "\n")
+        write(_ENCODE[type(ev)](ev))
+    write(canonical_json({"t": "final", "leaders": trace.final_leaders,
+                          "crashed": trace.crashed}) + "\n")
 
 
 def write_trace_file(trace: Trace, path: str) -> None:
@@ -205,10 +230,26 @@ def read_trace(lines: Iterable[str]) -> Trace:
     if meta.get("t") != "meta" or type(fp) is not str or type(scenario) is not dict:
         raise TraceFormatError("line 1 must be the meta record, with a string"
                                " 'fingerprint' and a 'scenario' object")
+    if fp != (want := fingerprint_scenario(scenario)):
+        raise TraceFormatError(f"meta record: fingerprint {fp!r} is not the"
+                               f" scenario's, {want!r}")
     try:
         n, horizon = _count(scenario.get("n")), _count(scenario.get("horizon"))
     except ValueError as exc:
         raise TraceFormatError(f"meta record: scenario n or horizon: {exc}") from None
+
+    ids: dict[tuple[int, int], MessageId] = {}  # every id read so far, once
+
+    def interned_mid(v: Any, n: int) -> MessageId:
+        if type(v) is list and len(v) == 2 and type(v[0]) is int and type(v[1]) is int:
+            mid = ids.get((v[0], v[1]))  # ints only: [true, 0] must not find [1, 0]
+            if mid is not None:
+                return mid
+        mid = _mid(v, n)
+        return ids.setdefault((mid.origin, mid.seq), mid)
+
+    decode = {tag: (cls, values, tuple(interned_mid if c is _mid else c for c in checks))
+              for tag, (cls, values, checks) in _DECODE.items()}
     events: list[TraceEvent] = []
     last = 0
     for lineno, line in enumerate(it, start=2):
@@ -219,9 +260,9 @@ def read_trace(lines: Iterable[str]) -> Trace:
         if tag == "final":
             break
         try:  # a KeyError for a missing field, a ValueError for a bad value
-            if type(tag) is not str or tag not in _DECODE:
+            if type(tag) is not str or tag not in decode:
                 _bad(tag, "an event type")
-            cls, values, checks = _DECODE[tag]
+            cls, values, checks = decode[tag]
             step, *fields = values(obj)
             if type(step) is not int or not last <= step <= horizon:
                 _bad(step, f"a step in [{last}, {horizon}]")
@@ -231,11 +272,19 @@ def read_trace(lines: Iterable[str]) -> Trace:
         last = step
     else:
         raise TraceFormatError("truncated trace: missing final record")
-    finals = obj.get("leaders"), obj.get("crashed")
-    if not all(type(entries) is list and len(entries) == n for entries in finals):
+    leaders, crashed = obj.get("leaders"), obj.get("crashed")
+    if not all(type(entries) is list and len(entries) == n for entries in (leaders, crashed)):
         raise TraceFormatError(
             f"final record: 'leaders' and 'crashed' must list n={n} processes")
-    return Trace(fp, scenario, events, *finals)
+    try:
+        leaders = [_leader(v, n) for v in leaders]
+    except ValueError as exc:
+        raise TraceFormatError(f"final record: leaders: {exc}") from None
+    crashes = {ev.proc for ev in events if type(ev) is Crash}
+    if any(type(c) is not bool for c in crashed) or crashed != [p in crashes for p in range(n)]:
+        raise TraceFormatError("final record: 'crashed' must be true exactly for the"
+                               f" processes with a crash event, {sorted(crashes)}")
+    return Trace(fp, scenario, events, leaders, crashed)
 
 
 def read_trace_file(path: str) -> Trace:

@@ -25,6 +25,7 @@ from mpo.scenario_io import (
     parse_scenario,
     parse_scenario_file,
 )
+from mpo.trace import canonical_json, fingerprint_scenario
 
 
 GOOD_CONFIG = """
@@ -321,7 +322,12 @@ def _exit_code(argv: list[str]) -> int:
         return exc.code
 
 
-_META = '{"t":"meta","fingerprint":"0","scenario":{"n":3,"horizon":100}}\n'
+def _meta(scenario: dict) -> str:
+    return canonical_json({"t": "meta", "fingerprint": fingerprint_scenario(scenario),
+                           "scenario": scenario}) + "\n"
+
+
+_META = _meta({"n": 3, "horizon": 100})
 _FINAL = '{"t":"final","leaders":[null,null,null],"crashed":[false,false,false]}\n'
 
 # (input body: scenario file lines after [scenario] for `run`, None for a valid
@@ -345,8 +351,10 @@ BAD_INPUTS = {
     "trace event missing fields": (_META + '{"t":"send","step":1}\n' + _FINAL, ["audit"], {}),
     "trace meta without fingerprint": (
         '{"t":"meta","scenario":{"n":3,"horizon":100}}\n' + _FINAL, ["audit"], {}),
-    "trace scenario without horizon": (
-        '{"t":"meta","fingerprint":"0","scenario":{"n":3}}\n' + _FINAL, ["audit"], {}),
+    "trace scenario without horizon": (_meta({"n": 3}) + _FINAL, ["audit"], {}),
+    "fingerprint does not match scenario": (
+        '{"t":"meta","fingerprint":"0","scenario":{"n":3,"horizon":100}}\n' + _FINAL,
+        ["audit"], {}),
     "trace final without crashed": (
         _META + '{"t":"final","leaders":[null,null,null]}\n', ["audit"], {}),
     "trace crashed list shorter than n": (
@@ -401,6 +409,16 @@ BAD_INPUTS = {
     "trace unknown kind": (
         _META + '{"t":"send","step":9,"mid":[0,0],"kind":"zzz","from":0,"to":1}\n'
         + _FINAL, ["audit"], {}),
+    "trace crashed with no crash event": (
+        _META + '{"t":"final","leaders":[null,null,null],"crashed":[false,true,true]}\n',
+        ["audit"], {}),
+    "trace final leader 7": (
+        _META + '{"t":"final","leaders":[7,null,null],"crashed":[false,false,false]}\n',
+        ["audit"], {}),
+    "trace crashed entry 1": (
+        _META + '{"t":"crash","step":5,"proc":0}\n'
+        '{"t":"final","leaders":[null,null,null],"crashed":[1,false,false]}\n',
+        ["audit"], {}),
     "audit cutoff -5": (_META + _FINAL, ["audit", "--cutoff", "-5"], {}),
     "audit cutoff past the horizon": (_META + _FINAL, ["audit", "--cutoff", "99999999"], {}),
     "audit window 0": (_META + _FINAL, ["audit", "--window", "0"], {}),

@@ -1,5 +1,6 @@
 import io
 import json
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from mpo.core import Alive, Failed, MessageId, StartPhase, StopPhase
 from mpo.netsim import preset_dependable, run
 from mpo.trace import (
+    EVENT_FORMAT,
     Crash,
     Deliver,
     Drop,
@@ -17,6 +19,7 @@ from mpo.trace import (
     TimerFired,
     Trace,
     TraceFormatError,
+    canonical_json,
     fingerprint_scenario,
     read_trace,
     write_trace,
@@ -48,8 +51,10 @@ def test_every_event_kind_serializes():
         TimerFired(3, 1, 0),
         LeaderChange(3, 1, None, 0),
         PhaseChange(3, 1, 0, 4),
+        Crash(4, 2),
     ]
-    trace = Trace("f" * 16, {"n": 3, "horizon": 10, "timers": {}}, events,
+    scenario = {"n": 3, "horizon": 10, "timers": {}}
+    trace = Trace(fingerprint_scenario(scenario), scenario, events,
                   [0, 0, None], [False, False, True])
     assert roundtrip(trace).events == events
 
@@ -85,7 +90,7 @@ KINDS = [message.kind for message in (StartPhase, StopPhase, Alive, Failed)]
 @st.composite
 def traces(draw):
     """A trace of n <= 5 processes whose time-ordered events, of all seven
-    kinds, lie within range."""
+    kinds, lie within range; a process is crashed when it has a crash event."""
     n = draw(st.integers(1, 5))
     horizon = draw(st.integers(0, 300))
     procs = st.integers(0, n - 1)
@@ -105,9 +110,10 @@ def traces(draw):
     events = [draw(draw(st.sampled_from(kinds))(step)) for step in steps]
     scenario = {"n": n, "horizon": horizon, "labels": draw(st.dictionaries(
         st.text(max_size=4), st.text(max_size=4), max_size=2))}
+    crashes = {ev.proc for ev in events if isinstance(ev, Crash)}
     return Trace(fingerprint_scenario(scenario), scenario, events,
                  draw(st.lists(leaders, min_size=n, max_size=n)),
-                 draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+                 [p in crashes for p in range(n)])
 
 
 def written(trace: Trace) -> str:
@@ -156,3 +162,40 @@ def test_one_bad_field_is_rejected(trace, data):
     lines[1 + index] = json.dumps(obj) + "\n"
     with pytest.raises(TraceFormatError, match=f"line {2 + index}:"):
         read_trace(io.StringIO("".join(lines)))
+
+
+def generic_line(ev) -> str:
+    """The event's line as a generic writer builds it from EVENT_FORMAT: the
+    canonical JSON of its fields' values under their keys."""
+    tag, fields = EVENT_FORMAT[type(ev)]
+    values = attrgetter("step", *[attr for attr, _, _ in fields])(ev)
+    keys = ("step", *[key for _, key, _ in fields])
+    return canonical_json(dict(zip(keys, values), t=tag)) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(traces())
+def test_event_lines_are_canonical_json(trace):
+    lines = written(trace).splitlines(keepends=True)
+    assert lines[1:-1] == [generic_line(ev) for ev in trace.events]
+
+
+def test_bool_id_does_not_alias_an_int_id():
+    scenario = {"n": 2, "horizon": 10}
+    lines = [canonical_json({"t": "meta", "fingerprint": fingerprint_scenario(scenario),
+                             "scenario": scenario}) + "\n",
+             '{"from":0,"mid":[1,0],"step":1,"t":"deliver","to":1}\n',
+             '{"from":0,"mid":[true,0],"step":2,"t":"deliver","to":1}\n',
+             '{"crashed":[false,false],"leaders":[null,null],"t":"final"}\n']
+    with pytest.raises(TraceFormatError, match="line 3:"):
+        read_trace(lines)
+
+
+def test_equal_ids_are_one_object():
+    events = [Send(1, MessageId(0, 7), "alive", 0, 1), Deliver(2, MessageId(0, 7), 0, 1),
+              Drop(2, MessageId(1, 7), 1, 0), Deliver(3, MessageId(1, 7), 1, 0)]
+    scenario = {"n": 2, "horizon": 10}
+    again = roundtrip(Trace(fingerprint_scenario(scenario), scenario, events,
+                            [None, None], [False, False])).events
+    assert again == events
+    assert again[0].mid is again[1].mid and again[2].mid is again[3].mid
