@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .core import ConfigurationError, MessageId
-from .trace import Deliver, LeaderChange, Send, TimerFired, Trace
+from .trace import LeaderChange, Send, TimerFired, Trace
 
 
 @dataclass(frozen=True)
@@ -189,23 +189,6 @@ def audit_timer_bound(
     return summarize(trace).timer_bound(leader, quiet_window=quiet_window)
 
 
-def fair_lossy_stream_counts(trace: Trace) -> dict[tuple[int, int, str, int], tuple[int, int]]:
-    """(src, dst, kind, origin) -> (sends, delivers); raw material for
-    fair-lossy accounting checks."""
-    kinds: dict[MessageId, str] = {}
-    sends: dict[tuple[int, int, str, int], int] = {}
-    delivers: dict[tuple[int, int, str, int], int] = {}
-    for ev in trace.events:
-        if isinstance(ev, Send):
-            kinds[ev.mid] = ev.kind
-            key = (ev.src, ev.dst, ev.kind, ev.mid.origin)
-            sends[key] = sends.get(key, 0) + 1
-        elif isinstance(ev, Deliver):
-            key = (ev.src, ev.dst, kinds[ev.mid], ev.mid.origin)
-            delivers[key] = delivers.get(key, 0) + 1
-    return {k: (s, delivers.get(k, 0)) for k, s in sends.items()}
-
-
 def default_cutoff(trace: Trace, convergence_step: int) -> int:
     return convergence_step + 10 * int(trace.scenario["timers"]["sender_timeout"])
 
@@ -214,6 +197,8 @@ def audit_report(trace: Trace, cutoff: int | None = None,
                  window: int | None = None) -> AuditReport:
     """One-stop report: convergence plus the efficiency audits at the cutoff.
 
+    The timer growth is every correct process's final receive timeout for
+    the converged leader; scenario labels are annotations and are not read.
     A run that does not converge is audited at the given cutoff or 0, is
     neither message nor packet efficient, and gets no timer growth.  A
     given cutoff must lie in [0, horizon) and a given window in [1, horizon].
@@ -228,10 +213,7 @@ def audit_report(trace: Trace, cutoff: int | None = None,
         cutoff = 0 if conv is None else default_cutoff(trace, conv.step)
     origins = summary.origins_after(cutoff)
     max_packets = max(summary.packets_after(cutoff).values(), default=0)
-    timer_growth: dict[int, int] = {}
-    labels = trace.scenario.get("labels", {})
-    if conv is not None and labels.get("preset") == "dependable":
-        timer_growth = summary.timer_bound(int(labels["leader"])).final_timeouts
+    timer_growth = {} if conv is None else summary.timer_bound(conv.leader).final_timeouts
     return AuditReport(
         converged=conv is not None,
         leader=None if conv is None else conv.leader,

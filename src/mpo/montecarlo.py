@@ -34,6 +34,11 @@ import numpy as np
 from .core import ConfigurationError
 
 _BATCH = 2048
+# a stability call judges its rounds' blocks ahead, this many uniforms' worth
+# at a time (_BATCH blocks at n=4): enough to spread the fixed cost of a
+# judging call over many rounds, small enough that a call with few trials at
+# large n draws little past its last round
+_AHEAD_CELLS = 16 * _BATCH
 
 
 class Mode(Enum):
@@ -125,8 +130,43 @@ def _reachability(adj: np.ndarray) -> np.ndarray:
     return r.astype(bool)
 
 
+def _reaches_all_from_0(adj: np.ndarray) -> np.ndarray:
+    """Does node 0 reach every node?  One boolean per graph.
+
+    Grows node 0's reach set one hop at a time by a float32 batched
+    vector-matrix product; a graph leaves the search as soon as its set
+    holds everyone or stops growing, so most graphs cost a hop or two.
+    Set sizes are products with a ones vector: a reduction along a short
+    axis costs far more per graph.
+    """
+    n = adj.shape[1]
+    ones = np.ones(n, dtype=np.float32)
+    reach = adj[:, 0, :].astype(np.float32)
+    reach[:, 0] = 1.0
+    size = reach @ ones
+    found = size == n
+    live = np.flatnonzero(~found)
+    a, reach, size = adj[live].astype(np.float32), reach[live], size[live]
+    while live.size:
+        reach = np.minimum((reach[:, None, :] @ a)[:, 0, :] + reach, 1.0)
+        grown = reach @ ones
+        full = grown == n
+        found[live[full]] = True
+        keep = (grown > size) & ~full
+        if not keep.all():
+            live, a, reach, grown = live[keep], a[keep], reach[keep], grown[keep]
+        size = grown
+    return found
+
+
 def _has_multi_hop_leader(adj: np.ndarray) -> np.ndarray:
-    return _reachability(adj).all(axis=2).any(axis=1)
+    """Node 0 is tried first; the closure is built only for the graphs in
+    which node 0 is not a root."""
+    found = _reaches_all_from_0(adj)
+    rest = np.flatnonzero(~found)
+    if rest.size:
+        found[rest] = _reachability(adj[rest]).all(axis=2).any(axis=1)
+    return found
 
 
 def _estimate(hits: int, trials: int) -> Estimate:
@@ -183,13 +223,14 @@ def exhaustive_existence(n: int, p: float, mode: Mode) -> float:
 
 def _holds_round(rng: np.random.Generator, k: int, n: int, p: float,
                  mode: Mode) -> np.ndarray:
-    """One fresh round for k active trials: does node 0 hold the property?"""
+    """Node 0's verdicts on k fresh digraphs, one block of uniforms each:
+    does it hold the property?"""
     if mode is Mode.SINGLE_HOP:
         return (rng.random((k, n - 1)) < p).all(axis=1)
     adj = rng.random((k, n, n)) < p
     if mode is Mode.BITIMELY:
         adj = adj & adj.transpose(0, 2, 1)
-    return _reachability(adj)[:, 0, :].all(axis=1)
+    return _reaches_all_from_0(adj)
 
 
 def mc_stability(
@@ -207,38 +248,48 @@ def mc_stability(
     Runs are censored at `cap` retained rounds (and a trial still waiting
     for its first holding round after `cap` rounds is censored at 0);
     with any censoring the mean reads as a lower bound.
+
+    Each round gives every live trial, in trial order, the next block of
+    uniforms from the call's generator.  The verdicts are judged ahead,
+    `_AHEAD_CELLS` uniforms' worth of blocks or a round's at a time; the
+    unused tail past the last round is never seen, so the estimate is the
+    one of judging round by round.
     """
     _check(n, p, trials, cap)
     rng = np.random.default_rng(seed)
-    WAITING, COUNTING, DONE, CENSORED = 0, 1, 2, 3
-    status = np.full(trials, WAITING, dtype=np.int8)
     counts = np.zeros(trials, dtype=np.int64)
+    live = np.arange(trials)                 # trials neither done nor censored
+    counting = np.zeros(trials, dtype=bool)  # per live trial: has it held yet?
+    verdicts = np.zeros(0, dtype=bool)       # judged ahead, not yet consumed
+    ahead = _AHEAD_CELLS // (n * n)
+    censored = 0
     rounds = 0
-    while True:
-        active = status < DONE
-        k = int(active.sum())
-        if k == 0:
-            break
+    while live.size:
         rounds += 1
         if rounds > 2 * cap:
-            status[active] = CENSORED
+            censored += live.size
             break
-        held = np.zeros(trials, dtype=bool)
-        held[active] = _holds_round(rng, k, n, p, mode)
-        waiting = active & (status == WAITING)
-        counting = active & (status == COUNTING)
-        status[waiting & held] = COUNTING
-        counts[counting & held] += 1
-        status[counting & ~held] = DONE
-        capped = counts >= cap
-        status[(status == COUNTING) & capped] = CENSORED
+        k = live.size
+        if verdicts.size < k:
+            verdicts = np.concatenate(
+                (verdicts, _holds_round(rng, max(k, ahead), n, p, mode)))
+        held, verdicts = verdicts[:k], verdicts[k:]
+        counts[live[counting & held]] += 1
+        stay = held | ~counting
+        counting |= held
+        if rounds > cap:  # a count is at most rounds - 1
+            capped = counts[live] >= cap
+            censored += int(capped.sum())
+            stay &= ~capped
+        if not stay.all():
+            live, counting = live[stay], counting[stay]
     mean = float(counts.mean())
     stderr = float(counts.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return StabilityEstimate(
         mean=mean,
         stderr=stderr,
         trials=trials,
-        censored=int((status == CENSORED).sum()),
+        censored=censored,
         cap=cap,
     )
 

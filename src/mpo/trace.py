@@ -223,7 +223,8 @@ def _record(line: str, lineno: int) -> dict[str, Any]:
 
 def read_trace(lines: Iterable[str]) -> Trace:
     """Trace from its JSON lines; a TraceFormatError unless every record is
-    well-formed and every value passes its check."""
+    well-formed, every value passes its check and only blank lines follow
+    the final record."""
     it = iter(lines)
     meta = _record(next(it, ""), 1)
     fp, scenario = meta.get("fingerprint"), meta.get("scenario")
@@ -272,6 +273,9 @@ def read_trace(lines: Iterable[str]) -> Trace:
         last = step
     else:
         raise TraceFormatError("truncated trace: missing final record")
+    for extra, line in enumerate(it, start=lineno + 1):
+        if line.strip():
+            raise TraceFormatError(f"line {extra}: data after the final record")
     leaders, crashed = obj.get("leaders"), obj.get("crashed")
     if not all(type(entries) is list and len(entries) == n for entries in (leaders, crashed)):
         raise TraceFormatError(

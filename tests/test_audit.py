@@ -5,7 +5,6 @@ from mpo.audit import (
     audit_report,
     audit_timer_bound,
     default_cutoff,
-    fair_lossy_stream_counts,
     summarize,
 )
 from mpo.channels import DeliverProb, DropPattern, FairLossy, Lossy, StronglyNonTimely, Timely
@@ -201,7 +200,16 @@ class TestFairLossyAccounting:
             channels={(0, 1): FairLossy(DropPattern(2), 1, 3)},
         )
         t = run(scn)
-        counts = fair_lossy_stream_counts(t)
+        # (src, dst, kind, origin) -> [sends, delivers]
+        kinds: dict[MessageId, str] = {}
+        counts: dict[tuple[int, int, str, int], list[int]] = {}
+        for ev in t.events:
+            if isinstance(ev, tr.Send):
+                kinds[ev.mid] = ev.kind
+                counts.setdefault((ev.src, ev.dst, ev.kind, ev.mid.origin), [0, 0])[0] += 1
+            elif isinstance(ev, tr.Deliver):
+                counts[ev.src, ev.dst, kinds[ev.mid], ev.mid.origin][1] += 1
+        assert any((src, dst) == (0, 1) for src, dst, _, _ in counts)
         for (src, dst, kind, origin), (sends, delivers) in counts.items():
             if (src, dst) == (0, 1):
                 assert delivers >= sends // 3
@@ -219,7 +227,7 @@ class TestReport:
         assert obj["origins_after_cutoff"] == [0]
 
     def test_report_on_dead_network(self):
-        # labelled as the preset, so only non-convergence keeps timer_growth empty
+        # only non-convergence keeps timer_growth empty
         scn = Scenario(n=3, horizon=5_000, seed=1, default_channel=Lossy(),
                        labels={"preset": "dependable", "leader": 0})
         trace = run(scn)
@@ -231,6 +239,16 @@ class TestReport:
         assert rep.max_packets_per_message_after_cutoff <= 2 * (3 - 1)
         assert not rep.message_efficient and not rep.packet_efficient
         assert rep.timer_growth == {}
+
+    def test_timer_growth_follows_the_converged_leader(self):
+        # labels are annotations: an unlabelled run gets the timer growth too
+        scn = preset_dependable(4, seed=3, horizon=8_000)
+        scn.labels = {}
+        trace = run(scn)
+        rep = audit_report(trace)
+        assert rep.converged and rep.leader == 0
+        assert rep.timer_growth == summarize(trace).timer_bound(0).final_timeouts
+        assert sorted(rep.timer_growth) == [1, 2, 3]
 
     def test_report_is_pure(self, converged_trace):
         a = audit_report(converged_trace).to_json_obj()

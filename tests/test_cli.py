@@ -221,6 +221,17 @@ class TestCliAudit:
         obj = json.loads(report.read_text())
         assert obj["leader"] == 0 and obj["converged"]
 
+    @pytest.mark.parametrize("labels", [{"preset": "dependable"},
+                                        {"preset": "dependable", "leader": "x"}],
+                             ids=["preset without leader", "leader x"])
+    def test_labels_are_not_read(self, tmp_path, labels):
+        scn = preset_dependable(4, seed=3, horizon=8000)
+        scn.labels = labels
+        trace = self.make_trace(tmp_path, scn)
+        report = tmp_path / "rep.json"
+        assert main(["audit", "--trace", str(trace), "--report", str(report)]) == 0
+        assert sorted(json.loads(report.read_text())["timer_growth"]) == ["1", "2", "3"]
+
     def test_dead_network_fails_audit(self, tmp_path):
         scn = Scenario(n=3, horizon=3000, seed=1)
         scn.default_channel = __import__("mpo.channels", fromlist=["Lossy"]).Lossy()
@@ -415,6 +426,12 @@ BAD_INPUTS = {
     "trace final leader 7": (
         _META + '{"t":"final","leaders":[7,null,null],"crashed":[false,false,false]}\n',
         ["audit"], {}),
+    "trace event after the final record": (
+        _META + _FINAL + '{"t":"leader","step":99,"proc":1,"old":null,"new":0}\n',
+        ["audit"], {}),
+    "trace garbage after the final record": (
+        _META + _FINAL + "garbage not json\n", ["audit"], {}),
+    "trace second final record": (_META + _FINAL + "\n" + _FINAL, ["audit"], {}),
     "trace crashed entry 1": (
         _META + '{"t":"crash","step":5,"proc":0}\n'
         '{"t":"final","leaders":[null,null,null],"crashed":[1,false,false]}\n',

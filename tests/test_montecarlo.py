@@ -6,7 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpo.montecarlo import (
+    _AHEAD_CELLS,
     Mode,
+    _has_multi_hop_leader,
+    _reachability,
+    _reaches_all_from_0,
     bitimely_connectivity_bound,
     closed_form_single_hop,
     exhaustive_existence,
@@ -121,6 +125,102 @@ class TestEstimators:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             mc_single_hop(4, 0.5, 0, seed=1)
+
+
+def _bfs_reaches_all(adj: np.ndarray, src: int) -> bool:
+    """Pure-Python breadth-first search on one boolean adjacency matrix."""
+    n = len(adj)
+    seen, frontier = {src}, [src]
+    while frontier:
+        frontier = [v for u in frontier for v in range(n) if adj[u][v] and v not in seen]
+        seen.update(frontier)
+    return len(seen) == n
+
+
+class TestReachabilityOracle:
+    """The node-0 search and the existence predicate against a BFS that
+    shares no code with them."""
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_node_zero_search_and_leader_match_bfs(self, n):
+        rng = np.random.default_rng(100 + n)
+        for p in (0.0, 0.3, 0.7, 1.0):
+            adj = rng.random((150, n, n)) < p
+            for graphs in (adj, adj & adj.transpose(0, 2, 1)):  # plain, bitimely
+                rows = graphs.tolist()
+                from_0 = [_bfs_reaches_all(g, 0) for g in rows]
+                leader = [any(_bfs_reaches_all(g, v) for v in range(n)) for g in rows]
+                assert _reaches_all_from_0(graphs).tolist() == from_0
+                assert _has_multi_hop_leader(graphs).tolist() == leader
+                assert _reachability(graphs)[:, 0, :].all(axis=1).tolist() == from_0
+
+
+def _stability_reference(n, p, trials, seed, mode, cap=100_000):
+    """`mc_stability` judged round by round: each round draws one block of
+    uniforms per live trial, in trial order, and judges it by the closure.
+    Returns (mean, stderr, censored)."""
+    rng = np.random.default_rng(seed)
+
+    def holds(k):
+        if mode is Mode.SINGLE_HOP:
+            return (rng.random((k, n - 1)) < p).all(axis=1)
+        adj = rng.random((k, n, n)) < p
+        if mode is Mode.BITIMELY:
+            adj = adj & adj.transpose(0, 2, 1)
+        return _reachability(adj)[:, 0, :].all(axis=1)
+
+    WAITING, COUNTING, DONE, CENSORED = 0, 1, 2, 3
+    status = np.full(trials, WAITING, dtype=np.int8)
+    counts = np.zeros(trials, dtype=np.int64)
+    rounds = 0
+    while True:
+        active = status < DONE
+        k = int(active.sum())
+        if k == 0:
+            break
+        rounds += 1
+        if rounds > 2 * cap:
+            status[active] = CENSORED
+            break
+        held = np.zeros(trials, dtype=bool)
+        held[active] = holds(k)
+        waiting = active & (status == WAITING)
+        counting = active & (status == COUNTING)
+        status[waiting & held] = COUNTING
+        counts[counting & held] += 1
+        status[counting & ~held] = DONE
+        status[(status == COUNTING) & (counts >= cap)] = CENSORED
+    mean = float(counts.mean())
+    stderr = float(counts.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    return mean, stderr, int((status == CENSORED).sum())
+
+
+# (n, p, trials, seed, cap): plain; censored at the cap; trials still
+# waiting for their first holding round at 2*cap; one trial; more live
+# trials in the first rounds than one read-ahead holds
+STABILITY_CASES = {
+    "plain": (4, 0.9, 300, 11, 100_000),
+    "cap censors": (3, 0.95, 200, 12, 4),
+    "waiting past 2 cap": (7, 0.25, 60, 13, 2),
+    "one trial": (4, 0.8, 1, 14, 100_000),
+    "trials above read-ahead": (8, 0.6, _AHEAD_CELLS // 64 + 300, 15, 100_000),
+}
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+@pytest.mark.parametrize("n, p, trials, seed, cap", STABILITY_CASES.values(),
+                         ids=STABILITY_CASES.keys())
+def test_stability_equals_round_by_round_reference(mode, n, p, trials, seed, cap):
+    est = mc_stability(n, p, trials, seed, mode, cap=cap)
+    assert (est.mean, est.stderr, est.censored) == _stability_reference(
+        n, p, trials, seed, mode, cap)
+
+
+def test_stability_reference_cases_reach_their_paths():
+    # the censoring cases censor, and the waiting case censors trials at 0
+    assert _stability_reference(3, 0.95, 200, 12, Mode.SINGLE_HOP, 4)[2] > 0
+    mean, _, censored = _stability_reference(7, 0.25, 60, 13, Mode.MULTI_HOP, 2)
+    assert censored > 0 and mean < 1
 
 
 class TestStability:

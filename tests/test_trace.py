@@ -77,6 +77,17 @@ def test_rejects_truncation():
         read_trace(io.StringIO("".join(lines)))
 
 
+def test_only_blank_lines_follow_the_final_record():
+    trace = run(preset_dependable(2, seed=1, horizon=500))
+    buf = io.StringIO()
+    write_trace(trace, buf)
+    text = buf.getvalue()
+    assert read_trace(io.StringIO(text + "\n  \n")).events == trace.events
+    last = text.count("\n") + 1
+    with pytest.raises(TraceFormatError, match=f"line {last + 1}: data after the final record"):
+        read_trace(io.StringIO(text + "\n" + '{"t":"crash","step":499,"proc":1}\n'))
+
+
 def test_correct_processes_excludes_crashed():
     trace = run(preset_dependable(4, seed=2, horizon=4000,
                                   crash_victims=(2,), crash_steps=(1000,)))
