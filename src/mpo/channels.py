@@ -169,6 +169,51 @@ def _dodge_windows(arrival: int, windows: list[tuple[int, int]] | None,
     return arrival
 
 
+def _timely(model: Timely, pkt: Packet, send_step: int, rng: random.Random,
+            state: ChannelState) -> int | None:
+    return send_step + rng.randint(1, model.bound)
+
+
+def _eventually_timely(model: EventuallyTimely, pkt: Packet, send_step: int,
+                       rng: random.Random, state: ChannelState) -> int | None:
+    if send_step >= model.unreliable_until:
+        return send_step + rng.randint(1, model.bound)
+    if rng.random() < 0.5:
+        return None
+    return send_step + rng.randint(1, 4 * model.bound)
+
+
+def _fair_lossy(model: FairLossy, pkt: Packet, send_step: int, rng: random.Random,
+                state: ChannelState) -> int | None:
+    key = (pkt.payload.kind, pkt.msg_id.origin)
+    count = state.stream_counts.get(key, 0) + 1
+    state.stream_counts[key] = count
+    policy = model.policy
+    if isinstance(policy, DropPattern):
+        if count % (policy.drop + 1) != 0:
+            return None
+    elif rng.random() >= policy.q:
+        return None
+    return send_step + rng.randint(model.delay_min, model.delay_max)
+
+
+def _strongly_non_timely(model: StronglyNonTimely, pkt: Packet, send_step: int,
+                         rng: random.Random, state: ChannelState) -> int | None:
+    arrival = send_step + rng.randint(model.delay_min, model.delay_max)
+    return _dodge_windows(arrival, state.windows, rng)
+
+
+def _lossy(model: Lossy, pkt: Packet, send_step: int, rng: random.Random,
+           state: ChannelState) -> None:
+    return None
+
+
+# model class -> its scheduler, which takes schedule_delivery's arguments
+_SCHEDULERS = {Timely: _timely, EventuallyTimely: _eventually_timely,
+               FairLossy: _fair_lossy, StronglyNonTimely: _strongly_non_timely,
+               Lossy: _lossy}
+
+
 def schedule_delivery(
     model: ChannelModel,
     pkt: Packet,
@@ -182,39 +227,10 @@ def schedule_delivery(
     bookkeeping (a throwaway is created when omitted, which is fine for
     the stateless models).
     """
-    if state is None:
-        state = ChannelState()
-
-    if isinstance(model, Timely):
-        return send_step + rng.randint(1, model.bound)
-
-    if isinstance(model, EventuallyTimely):
-        if send_step >= model.unreliable_until:
-            return send_step + rng.randint(1, model.bound)
-        if rng.random() < 0.5:
-            return None
-        return send_step + rng.randint(1, 4 * model.bound)
-
-    if isinstance(model, FairLossy):
-        key = (pkt.payload.kind, pkt.msg_id.origin)
-        count = state.stream_counts.get(key, 0) + 1
-        state.stream_counts[key] = count
-        if isinstance(model.policy, DropPattern):
-            if count % (model.policy.drop + 1) != 0:
-                return None
-        else:
-            if rng.random() >= model.policy.q:
-                return None
-        return send_step + rng.randint(model.delay_min, model.delay_max)
-
-    if isinstance(model, StronglyNonTimely):
-        arrival = send_step + rng.randint(model.delay_min, model.delay_max)
-        return _dodge_windows(arrival, state.windows, rng)
-
-    if isinstance(model, Lossy):
-        return None
-
-    raise TypeError(f"unknown channel model {model!r}")
+    scheduler = _SCHEDULERS.get(type(model))
+    if scheduler is None:
+        raise TypeError(f"unknown channel model {model!r}")
+    return scheduler(model, pkt, send_step, rng, ChannelState() if state is None else state)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .arborescence import Arborescence, TopologyError, WeightedDigraph, min_arborescence
 
@@ -98,8 +99,23 @@ class Failed:
 Message = StartPhase | StopPhase | Alive | Failed
 
 
-@dataclass(frozen=True)
-class MessageId:
+def equal_within_class(cls: type) -> type:
+    """Give a NamedTuple class an equality that holds only between its own
+    instances, so a value never equals a tuple or another class's value with
+    the same fields; the hash stays tuple's, which equal values share."""
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is cls and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return type(other) is not cls or tuple.__ne__(self, other)
+
+    cls.__eq__, cls.__ne__, cls.__hash__ = __eq__, __ne__, tuple.__hash__
+    return cls
+
+
+@equal_within_class
+class MessageId(NamedTuple):
     """Network-unique message identity: (creator, per-creator sequence number).
 
     Forwarded copies keep the creator's id, so receiving any copy twice is
@@ -110,8 +126,8 @@ class MessageId:
     seq: int
 
 
-@dataclass(frozen=True)
-class Packet:
+@equal_within_class
+class Packet(NamedTuple):
     """One transmission of a message over one channel.
 
     The payload is never modified in transit; forwarding mints new
@@ -294,15 +310,16 @@ def _originate(state: MpoState, msg: Message, dests: tuple[int, ...]) -> list[Pa
     The fresh MessageId goes straight into `seen` so echoes of our own
     broadcast are discarded on receipt.
     """
-    mid = MessageId(origin=state.p, seq=state.next_seq)
+    mid = MessageId(state.p, state.next_seq)
     state.next_seq += 1
     state.seen.add(mid)
-    return [Packet(msg_id=mid, payload=msg, src=state.p, dst=d) for d in dests]
+    return _forward(state, mid, msg, dests)
 
 
 def _forward(state: MpoState, mid: MessageId, msg: Message,
              dests: tuple[int, ...]) -> list[Packet]:
-    return [Packet(msg_id=mid, payload=msg, src=state.p, dst=d) for d in dests]
+    p = state.p
+    return [Packet(mid, msg, p, d) for d in dests]
 
 
 def advance_timers(state: MpoState) -> tuple[MpoState, list[int]]:

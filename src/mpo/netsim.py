@@ -48,6 +48,7 @@ from .channels import (
 from .core import (
     ConfigurationError,
     Failed,
+    MessageId,
     MpoState,
     Packet,
     TimerConfig,
@@ -57,6 +58,7 @@ from .core import (
     on_receiver_timeout,
     on_sender_timeout,
 )
+from .trace import Crash, Deliver, Drop, LeaderChange, PhaseChange, Send, TimerFired
 
 
 class ScenarioError(ValueError):
@@ -269,7 +271,9 @@ class _Engine:
         self.delivery_heap: list[tuple[int, int, Packet]] = []
         self.timer_heap: list[tuple[int, int, int, int]] = []
         self.timer_ver: dict[tuple[int, int], int] = {}
-        self.prop_graphs: dict = {}
+        # propagation mode: message id -> [reliable edges, timely edges,
+        # packets in flight], for the messages with a packet in flight
+        self.prop_graphs: dict[MessageId, list] = {}
         self.crash_queue = sorted(
             (step, p) for p, step in scn.crash_schedule.items()
         )
@@ -293,48 +297,75 @@ class _Engine:
 
     # -- channels ----------------------------------------------------------
 
-    def _propagation_graphs(self, mid) -> tuple[set, set]:
-        graphs = self.prop_graphs.get(mid)
-        if graphs is None:
-            gp = self.scn.propagation
-            reliable: set[tuple[int, int]] = set()
-            timely: set[tuple[int, int]] = set()
-            for u in range(self.scn.n):
-                for v in range(self.scn.n):
-                    if u == v:
-                        continue
-                    if self.rng.random() < gp.p_reliable:
-                        reliable.add((u, v))
-                        if self.rng.random() < gp.p_timely:
-                            timely.add((u, v))
-            graphs = (reliable, timely)
-            self.prop_graphs[mid] = graphs
-        return graphs
-
-    def _schedule(self, pkt: Packet, step: int) -> int | None:
-        if self.scn.propagation is not None:
-            reliable, timely = self._propagation_graphs(pkt.msg_id)
-            edge = (pkt.src, pkt.dst)
-            if edge not in reliable:
-                return None
-            b = self.scn.propagation.bound
-            if edge in timely:
-                return step + self.rng.randint(1, b)
-            return step + self.rng.randint(b + 1, 4 * b)
-        model, state = self.links[pkt.msg_id.origin][pkt.src, pkt.dst]
-        return schedule_delivery(model, pkt, step, self.rng, state)
+    def _sample_graphs(self) -> tuple[set, set]:
+        """A message's reliable edge set and its timely subset, drawn when
+        the message's first packet is routed."""
+        gp = self.scn.propagation
+        rng = self.rng
+        reliable: set[tuple[int, int]] = set()
+        timely: set[tuple[int, int]] = set()
+        for u in range(self.scn.n):
+            for v in range(self.scn.n):
+                if u == v:
+                    continue
+                if rng.random() < gp.p_reliable:
+                    reliable.add((u, v))
+                    if rng.random() < gp.p_timely:
+                        timely.add((u, v))
+        return reliable, timely
 
     def _route(self, packets: list[Packet], step: int) -> None:
+        if self.scn.propagation is not None:
+            self._route_propagation(packets, step)
+            return
+        append, heap, rng, links = self.events.append, self.delivery_heap, self.rng, self.links
+        seq = self.seq
         for pkt in packets:
-            self.events.append(
-                tr.Send(step, pkt.msg_id, pkt.payload.kind, pkt.src, pkt.dst)
-            )
-            due = self._schedule(pkt, step)
+            mid, msg, src, dst = pkt
+            append(Send(step, mid, msg.kind, src, dst))
+            model, state = links[mid.origin][src, dst]
+            due = schedule_delivery(model, pkt, step, rng, state)
             if due is None:
-                self.events.append(tr.Drop(step, pkt.msg_id, pkt.src, pkt.dst))
+                append(Drop(step, mid, src, dst))
             else:
-                self.seq += 1
-                heappush(self.delivery_heap, (due, self.seq, pkt))
+                seq += 1
+                heappush(heap, (due, seq, pkt))
+        self.seq = seq
+
+    def _route_propagation(self, packets: list[Packet], step: int) -> None:
+        """Route over each message's own graphs.  A message's graphs are kept
+        while any of its packets is in flight or being handled; new packets of
+        a message come only from its origination or from handling one of its
+        packets, so dropped graphs are never needed again."""
+        append, heap, rng = self.events.append, self.delivery_heap, self.rng
+        graphs, b, seq = self.prop_graphs, self.scn.propagation.bound, self.seq
+        for pkt in packets:
+            mid, msg, src, dst = pkt
+            append(Send(step, mid, msg.kind, src, dst))
+            entry = graphs.get(mid)
+            if entry is None:
+                entry = graphs[mid] = [*self._sample_graphs(), 0]
+            reliable, timely, _ = entry
+            edge = (src, dst)
+            if edge not in reliable:
+                append(Drop(step, mid, src, dst))
+                continue
+            due = step + (rng.randint(1, b) if edge in timely else rng.randint(b + 1, 4 * b))
+            entry[2] += 1
+            seq += 1
+            heappush(heap, (due, seq, pkt))
+        self.seq = seq
+        for mid in {pkt.msg_id for pkt in packets}:
+            if graphs[mid][2] == 0:  # every packet of a new message dropped
+                del graphs[mid]
+
+    def _landed(self, mid: MessageId) -> None:
+        """A packet of `mid` was delivered and handled, or consumed by a
+        crashed recipient."""
+        entry = self.prop_graphs[mid]
+        entry[2] -= 1
+        if entry[2] == 0:
+            del self.prop_graphs[mid]
 
     # -- timers (fast path) --------------------------------------------------
 
@@ -372,30 +403,34 @@ class _Engine:
             self.crash_idx += 1
             if not self.crashed[proc]:
                 self.crashed[proc] = True
-                self.events.append(tr.Crash(step, proc))
+                self.events.append(Crash(step, proc))
 
     def _deliver_due(self, step: int) -> None:
-        heap = self.delivery_heap
+        heap, crashed, states = self.delivery_heap, self.crashed, self.states
+        append = self.events.append
+        propagation = self.scn.propagation is not None
         while heap and heap[0][0] == step:
-            _, _, pkt = heappop(heap)
-            if self.crashed[pkt.dst]:
-                continue  # consumed silently, no action runs
-            self.events.append(tr.Deliver(step, pkt.msg_id, pkt.src, pkt.dst))
-            state = self.states[pkt.dst]
-            msg = pkt.payload
-            subject = msg.origin if not isinstance(msg, Failed) else None
+            pkt = heappop(heap)[2]
+            mid, msg, src, dst = pkt
+            if crashed[dst]:  # consumed silently, no action runs
+                if propagation:
+                    self._landed(mid)
+                continue
+            append(Deliver(step, mid, src, dst))
+            state = states[dst]
+            subject = msg.origin if type(msg) is not Failed else None
             phase_before = state.phases[subject] if subject is not None else 0
             _, out = on_receive(state, pkt)
             if subject is not None:
                 if state.phases[subject] != phase_before:
-                    self.events.append(
-                        tr.PhaseChange(step, pkt.dst, subject, state.phases[subject])
-                    )
-                self._sync_timer(pkt.dst, subject, _DELIVERY_PHASE)
+                    append(PhaseChange(step, dst, subject, state.phases[subject]))
+                self._sync_timer(dst, subject, _DELIVERY_PHASE)
             self._route(out, step)
+            if propagation:
+                self._landed(mid)
 
     def _dispatch_timeout(self, step: int, proc: int, subject: int) -> None:
-        self.events.append(tr.TimerFired(step, proc, subject))
+        self.events.append(TimerFired(step, proc, subject))
         state = self.states[proc]
         if subject == proc:
             leader_before = state.leader
@@ -403,11 +438,11 @@ class _Engine:
             _, out = on_sender_timeout(state)
             if state.leader != leader_before:
                 self.events.append(
-                    tr.LeaderChange(step, proc, leader_before, state.leader)
+                    LeaderChange(step, proc, leader_before, state.leader)
                 )
             if state.phases[proc] != phase_before:
                 self.events.append(
-                    tr.PhaseChange(step, proc, proc, state.phases[proc])
+                    PhaseChange(step, proc, proc, state.phases[proc])
                 )
         else:
             _, out = on_receiver_timeout(state, subject)

@@ -7,6 +7,11 @@ last line.  Each line is canonical JSON.  `EVENT_FORMAT` is the event
 contract: the writer's line templates and the reader's checks are both
 built from it at import, and the reader holds every value to its check
 against the n and horizon of the meta record.
+
+Events, like core's `Packet` and `MessageId`, are immutable typed tuples
+(`NamedTuple`s) that compare equal only within their class: a `Deliver`
+never equals a `Drop` with the same fields, nor a plain tuple.  They hash
+as tuples do.
 """
 
 from __future__ import annotations
@@ -15,17 +20,17 @@ import hashlib
 import json
 from dataclasses import dataclass
 from operator import attrgetter, itemgetter
-from typing import Any, Callable, Iterable, NoReturn, TextIO, get_args
+from typing import Any, Callable, Iterable, NamedTuple, NoReturn, TextIO, get_args
 
-from .core import Message, MessageId
+from .core import Message, MessageId, equal_within_class
 
 
 class TraceFormatError(ValueError):
     """Unreadable, truncated or out-of-range trace file."""
 
 
-@dataclass(slots=True, frozen=True)
-class Send:
+@equal_within_class
+class Send(NamedTuple):
     step: int
     mid: MessageId
     kind: str
@@ -33,45 +38,45 @@ class Send:
     dst: int
 
 
-@dataclass(slots=True, frozen=True)
-class Deliver:
+@equal_within_class
+class Deliver(NamedTuple):
     step: int
     mid: MessageId
     src: int
     dst: int
 
 
-@dataclass(slots=True, frozen=True)
-class Drop:
+@equal_within_class
+class Drop(NamedTuple):
     step: int
     mid: MessageId
     src: int
     dst: int
 
 
-@dataclass(slots=True, frozen=True)
-class TimerFired:
+@equal_within_class
+class TimerFired(NamedTuple):
     step: int
     proc: int
     subject: int
 
 
-@dataclass(slots=True, frozen=True)
-class LeaderChange:
+@equal_within_class
+class LeaderChange(NamedTuple):
     step: int
     proc: int
     old: int | None
     new: int | None
 
 
-@dataclass(slots=True, frozen=True)
-class Crash:
+@equal_within_class
+class Crash(NamedTuple):
     step: int
     proc: int
 
 
-@dataclass(slots=True, frozen=True)
-class PhaseChange:
+@equal_within_class
+class PhaseChange(NamedTuple):
     step: int
     proc: int
     origin: int
@@ -104,10 +109,9 @@ class Trace:
 
 
 # the one JSON form of trace lines, scenario fingerprints and configuration
-# hashes: keys sorted, no spaces, a MessageId written as [origin, seq]; the
-# event line templates below write the same bytes
-canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
-                                  default=attrgetter("origin", "seq")).encode
+# hashes: keys sorted, no spaces, and a MessageId, being a tuple, written as
+# [origin, seq]; the event line templates below write the same bytes
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 _raw_decode = json.JSONDecoder().raw_decode
 
 
@@ -267,6 +271,8 @@ def read_trace(lines: Iterable[str]) -> Trace:
             step, *fields = values(obj)
             if type(step) is not int or not last <= step <= horizon:
                 _bad(step, f"a step in [{last}, {horizon}]")
+            if step == last:
+                step = last  # one int object per step, as in a simulated trace
             events.append(cls(step, *[check(v, n) for check, v in zip(checks, fields)]))
         except (KeyError, ValueError) as exc:
             raise TraceFormatError(f"line {lineno}: bad {tag!r} event: {exc!r}") from None

@@ -127,3 +127,10 @@ def test_snt_window_lengths_grow():
 def test_model_parameters_checked_on_construction(build):
     with pytest.raises(ConfigurationError):
         build()
+
+
+def test_unknown_model_is_a_type_error():
+    rng = random.Random(0)
+    for model in (object(), GeneralPropagation(1.0, 1.0), "timely b=4"):
+        with pytest.raises(TypeError, match="unknown channel model"):
+            schedule_delivery(model, alive_pkt(), 0, rng)

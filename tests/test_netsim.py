@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from mpo import trace as tr
@@ -251,10 +253,45 @@ class TestGeneralPropagation:
         scn = Scenario(n=4, horizon=300, seed=21,
                        propagation=GeneralPropagation(0.6, 0.5, bound=3))
         eng = _Engine(scn)
+        sampled = []
+        sample = eng._sample_graphs
+
+        def recording():
+            sampled.append(sample())
+            return sampled[-1]
+
+        eng._sample_graphs = recording
         eng.run_fast()
-        assert eng.prop_graphs, "messages were sampled"
-        for reliable, timely in eng.prop_graphs.values():
+        assert sampled, "messages were sampled"
+        for reliable, timely in sampled:
             assert timely <= reliable
+
+    def test_graphs_are_kept_while_packets_fly(self):
+        # each message's graphs are drawn once and, between steps, kept exactly
+        # while one of its packets is in flight; a crashed recipient's packets
+        # land too
+        from mpo.netsim import _Engine
+        scn = Scenario(n=6, horizon=3_000, seed=5, crash_schedule={2: 700},
+                       propagation=GeneralPropagation(0.8, 0.5, bound=3))
+        eng = _Engine(scn)
+        draws = []
+        sample, fire = eng._sample_graphs, eng._fire_timers_fast
+
+        def recording():
+            draws.append(sample())
+            return draws[-1]
+
+        def checking(step):
+            fire(step)
+            in_flight = Counter(pkt.msg_id for _, _, pkt in eng.delivery_heap)
+            assert {mid: entry[2] for mid, entry in eng.prop_graphs.items()} == in_flight
+
+        eng._sample_graphs, eng._fire_timers_fast = recording, checking
+        trace = eng.run_fast()
+        sends = [ev for ev in trace.events if isinstance(ev, tr.Send)]
+        assert len(draws) == len({ev.mid for ev in sends})
+        assert any(ev.dst == 2 and ev.step > 700 for ev in sends)
+        assert len(eng.prop_graphs) < len(draws) / 10
 
     def test_drops_match_unreliable_edges(self):
         scn = Scenario(n=3, horizon=300, seed=2,

@@ -1,3 +1,4 @@
+import copy
 import io
 import json
 from operator import attrgetter
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpo.core import Alive, Failed, MessageId, StartPhase, StopPhase
+from mpo.core import Alive, Failed, MessageId, Packet, StartPhase, StopPhase
 from mpo.netsim import preset_dependable, run
 from mpo.trace import (
     EVENT_FORMAT,
@@ -210,3 +211,44 @@ def test_equal_ids_are_one_object():
                             [None, None], [False, False])).events
     assert again == events
     assert again[0].mid is again[1].mid and again[2].mid is again[3].mid
+
+
+# the per-event value types: immutable, hashable, equal only within a class
+EVENT_NAMES = {"Send", "Deliver", "Drop", "TimerFired", "LeaderChange", "Crash",
+               "PhaseChange"}  # the names perfbench/tracing.py counts
+
+
+def test_events_of_different_classes_with_equal_fields_differ():
+    mid = MessageId(1, 2)
+    assert Deliver(1, mid, 0, 1) != Drop(1, mid, 0, 1)
+    assert not Deliver(1, mid, 0, 1) == Drop(1, mid, 0, 1)
+    assert [Deliver(1, mid, 0, 1)] != [Drop(1, mid, 0, 1)]
+    assert Deliver(1, mid, 0, 1) == Deliver(1, MessageId(1, 2), 0, 1)
+    assert len({Deliver(1, mid, 0, 1), Drop(1, mid, 0, 1), Deliver(1, mid, 0, 1)}) == 2
+
+
+@pytest.mark.parametrize("value, attr", [
+    (Send(1, MessageId(0, 1), "alive", 0, 1), "step"),
+    (Deliver(1, MessageId(0, 1), 0, 1), "mid"),
+    (Drop(1, MessageId(0, 1), 0, 1), "dst"),
+    (TimerFired(1, 0, 1), "subject"),
+    (LeaderChange(1, 0, None, 1), "new"),
+    (Crash(1, 0), "proc"),
+    (PhaseChange(1, 0, 0, 1), "phase"),
+    (Packet(MessageId(0, 1), Alive(0, 0, 0), 0, 1), "dst"),
+    (Packet(MessageId(0, 1), Alive(0, 0, 0), 0, 1), "msg_id"),
+    (MessageId(0, 1), "seq"),
+], ids=lambda v: type(v).__name__ if not isinstance(v, str) else v)
+def test_value_types_are_immutable_and_hashable(value, attr):
+    with pytest.raises(AttributeError):
+        setattr(value, attr, 7)
+    assert hash(value) == hash(copy.copy(value))
+    assert {value: 1}[copy.deepcopy(value)] == 1
+
+
+def test_a_run_emits_only_the_seven_event_classes():
+    scn = preset_dependable(5, seed=3, horizon=6000, crash_victims=(0, 3),
+                            crash_steps=(2500, 3000))
+    names = {type(ev).__name__ for ev in run(scn).events}
+    assert names == EVENT_NAMES
+    assert {cls.__name__ for cls in EVENT_FORMAT} == EVENT_NAMES
