@@ -219,18 +219,18 @@ def schedule_delivery(
     pkt: Packet,
     send_step: int,
     rng: random.Random,
-    state: ChannelState | None = None,
+    state: ChannelState,
 ) -> int | None:
     """Delivery step for `pkt` sent at `send_step`, or None if dropped.
 
     `rng` is the run's seeded stream; `state` the channel's running
-    bookkeeping (a throwaway is created when omitted, which is fine for
-    the stateless models).
+    bookkeeping, one per channel for the whole run (a fair-lossy drop
+    pattern counts across calls).
     """
     scheduler = _SCHEDULERS.get(type(model))
     if scheduler is None:
         raise TypeError(f"unknown channel model {model!r}")
-    return scheduler(model, pkt, send_step, rng, ChannelState() if state is None else state)
+    return scheduler(model, pkt, send_step, rng, state)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ place, and returns (state, packets-to-transmit).  Nothing here knows
 about time, channels, or delivery: the simulator owns all of that and
 feeds stimuli in whatever order its schedule produces.  Replaying the
 same stimuli against an equal starting state always produces the same
-outputs.
+outputs.  A stimulus changes at most `leader` (only the own-timer tick
+does) and its subject's `phases` and `timers` entries; the subject is the
+message's origin (a `failed` message has none) or the expired timer's id.
 
 Protocol sketch.  Every process tracks a fault weight per channel
 (edges), learned from `failed` reports.  A process that believes its own

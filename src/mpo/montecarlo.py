@@ -79,8 +79,10 @@ def _check(n: int, p: float | None = None, trials: int | None = None,
         raise ConfigurationError(f"need at least one trial, got trials={trials}")
     if cap is not None and cap < 1:
         raise ConfigurationError(f"cap must be >= 1, got cap={cap}")
-    if target is not None and not 0.0 < target < math.inf:
-        raise ConfigurationError(f"target must be positive and finite, got target={target}")
+    # ln(ln(1 + target)) needs 1 + target > 1, which fails below about 1.1e-16
+    if target is not None and not 1.0 < 1.0 + target < math.inf:
+        raise ConfigurationError(
+            f"target must be finite with 1 + target > 1, got target={target}")
 
 
 def closed_form_single_hop(n: int, p: float) -> float:

@@ -15,11 +15,16 @@ delivery, crash, or timer expiry), which changes nothing observable;
 `run_reference` grinds through every step literally via advance_timers
 and exists to cross-check the fast path on small horizons.
 
-One timing convention to be aware of: timers advance once per step
-including the step in which a delivery reset them, so a timer armed by a
-delivery at step s fires (absent further resets) at s + timeout - 1,
-while a timer armed at init or by a timeout handler fires at
-s + timeout.
+The stimulus rule: a delivery or a timer expiry changes at most the
+leader and its subject's phase and timer (the subject is the message's
+origin or the expired timer's id; a delivered `failed` message has none).
+The engine reads those three around each transition and turns the
+differences into LeaderChange and PhaseChange events and a re-armed
+timer.  One timing convention to be aware of: timers advance once per
+step including the step in which a delivery reset them, so a timer
+re-armed by a delivery at step s fires (absent further resets) at
+s + timeout - 1, while one armed at init or by a timeout handler fires
+at s + timeout.
 """
 
 from __future__ import annotations
@@ -266,11 +271,10 @@ class _Engine:
         ]
         self.crashed = [False] * scn.n
         self.events: list[tr.TraceEvent] = []
-        self.step = 0
         self.seq = 0  # tiebreaker for the delivery heap
         self.delivery_heap: list[tuple[int, int, Packet]] = []
+        # (fire step, process, subject, timer ver); stale entries are skipped
         self.timer_heap: list[tuple[int, int, int, int]] = []
-        self.timer_ver: dict[tuple[int, int], int] = {}
         # propagation mode: message id -> [reliable edges, timely edges,
         # packets in flight], for the messages with a packet in flight
         self.prop_graphs: dict[MessageId, list] = {}
@@ -290,8 +294,6 @@ class _Engine:
                 (u, v): _link(scn, u, v, model) for (u, v), model in pairs.items()
             }
         for p in range(scn.n):
-            for q in range(scn.n):
-                self.timer_ver[(p, q)] = 0
             # own timers armed at step 0; they fire at step sender_timeout
             heappush(self.timer_heap, (scn.timers.sender_timeout, p, p, 0))
 
@@ -369,16 +371,6 @@ class _Engine:
 
     # -- timers (fast path) --------------------------------------------------
 
-    def _sync_timer(self, proc: int, subject: int, phase: int) -> None:
-        ts = self.states[proc].timers[subject]
-        key = (proc, subject)
-        if self.timer_ver[key] == ts.ver:
-            return
-        self.timer_ver[key] = ts.ver
-        if ts.on:
-            fire = self.step + ts.timeout - phase
-            heappush(self.timer_heap, (fire, proc, subject, ts.ver))
-
     def _timer_entry_valid(self, entry: tuple[int, int, int, int]) -> bool:
         _, proc, subject, ver = entry
         if self.crashed[proc]:
@@ -405,9 +397,32 @@ class _Engine:
                 self.crashed[proc] = True
                 self.events.append(Crash(step, proc))
 
-    def _deliver_due(self, step: int) -> None:
-        heap, crashed, states = self.delivery_heap, self.crashed, self.states
+    def _stimulus(self, step: int, proc: int, subject: int | None, phase: int,
+                  transition, arg=None) -> None:
+        """Run `transition(state)`, or `transition(state, arg)`, on `proc`;
+        record the leader, phase and timer it changed (see the stimulus rule
+        in the module docstring), then route the packets it emitted."""
+        state = self.states[proc]
+        leader = state.leader
+        if subject is not None:
+            phase_before = state.phases[subject]
+            timer = state.timers[subject]
+            ver = timer.ver
+        _, out = transition(state) if arg is None else transition(state, arg)
         append = self.events.append
+        if state.leader != leader:
+            append(LeaderChange(step, proc, leader, state.leader))
+        if subject is not None:
+            if state.phases[subject] != phase_before:
+                append(PhaseChange(step, proc, subject, state.phases[subject]))
+            if timer.ver != ver and timer.on:
+                heappush(self.timer_heap,
+                         (step + timer.timeout - phase, proc, subject, timer.ver))
+        self._route(out, step)
+
+    def _deliver_due(self, step: int) -> None:
+        heap, crashed = self.delivery_heap, self.crashed
+        append, stimulus = self.events.append, self._stimulus
         propagation = self.scn.propagation is not None
         while heap and heap[0][0] == step:
             pkt = heappop(heap)[2]
@@ -417,37 +432,17 @@ class _Engine:
                     self._landed(mid)
                 continue
             append(Deliver(step, mid, src, dst))
-            state = states[dst]
             subject = msg.origin if type(msg) is not Failed else None
-            phase_before = state.phases[subject] if subject is not None else 0
-            _, out = on_receive(state, pkt)
-            if subject is not None:
-                if state.phases[subject] != phase_before:
-                    append(PhaseChange(step, dst, subject, state.phases[subject]))
-                self._sync_timer(dst, subject, _DELIVERY_PHASE)
-            self._route(out, step)
+            stimulus(step, dst, subject, _DELIVERY_PHASE, on_receive, pkt)
             if propagation:
                 self._landed(mid)
 
     def _dispatch_timeout(self, step: int, proc: int, subject: int) -> None:
         self.events.append(TimerFired(step, proc, subject))
-        state = self.states[proc]
         if subject == proc:
-            leader_before = state.leader
-            phase_before = state.phases[proc]
-            _, out = on_sender_timeout(state)
-            if state.leader != leader_before:
-                self.events.append(
-                    LeaderChange(step, proc, leader_before, state.leader)
-                )
-            if state.phases[proc] != phase_before:
-                self.events.append(
-                    PhaseChange(step, proc, proc, state.phases[proc])
-                )
+            self._stimulus(step, proc, proc, _TIMER_PHASE, on_sender_timeout)
         else:
-            _, out = on_receiver_timeout(state, subject)
-        self._sync_timer(proc, subject, _TIMER_PHASE)
-        self._route(out, step)
+            self._stimulus(step, proc, subject, _TIMER_PHASE, on_receiver_timeout, subject)
 
     def _fire_timers_fast(self, step: int) -> None:
         due: list[tuple[int, int]] = []
@@ -485,7 +480,6 @@ class _Engine:
                 nxt = t if nxt is None else min(nxt, t)
             if nxt is None or nxt > horizon:
                 break
-            self.step = nxt
             self._apply_crashes(nxt)
             self._deliver_due(nxt)
             self._fire_timers_fast(nxt)
@@ -493,7 +487,6 @@ class _Engine:
 
     def run_reference(self) -> tr.Trace:
         for step in range(1, self.scn.horizon + 1):
-            self.step = step
             self._apply_crashes(step)
             self._deliver_due(step)
             self._fire_timers_reference(step)

@@ -25,14 +25,14 @@ def alive_pkt(origin=0, seq=0, src=0, dst=1):
 def test_timely_bound():
     rng = random.Random(1)
     for _ in range(200):
-        step = schedule_delivery(Timely(bound=4), alive_pkt(), 10, rng)
+        step = schedule_delivery(Timely(bound=4), alive_pkt(), 10, rng, ChannelState())
         assert 11 <= step <= 14
 
 
 def test_lossy_drops_everything():
     rng = random.Random(1)
     for _ in range(20):
-        assert schedule_delivery(Lossy(), alive_pkt(), 5, rng) is None
+        assert schedule_delivery(Lossy(), alive_pkt(), 5, rng, ChannelState()) is None
 
 
 def test_drop_pattern_counter():
@@ -78,9 +78,9 @@ def test_eventually_timely_becomes_timely():
     rng = random.Random(11)
     model = EventuallyTimely(bound=3, unreliable_until=50)
     for _ in range(100):
-        step = schedule_delivery(model, alive_pkt(), 60, rng)
+        step = schedule_delivery(model, alive_pkt(), 60, rng, ChannelState())
         assert 61 <= step <= 63
-    early = [schedule_delivery(model, alive_pkt(), 10, rng) for _ in range(300)]
+    early = [schedule_delivery(model, alive_pkt(), 10, rng, ChannelState()) for _ in range(300)]
     drops = sum(1 for s in early if s is None)
     assert 0 < drops < 300
     assert all(s <= 10 + 12 for s in early if s is not None)
@@ -133,4 +133,4 @@ def test_unknown_model_is_a_type_error():
     rng = random.Random(0)
     for model in (object(), GeneralPropagation(1.0, 1.0), "timely b=4"):
         with pytest.raises(TypeError, match="unknown channel model"):
-            schedule_delivery(model, alive_pkt(), 0, rng)
+            schedule_delivery(model, alive_pkt(), 0, rng, ChannelState())

@@ -442,6 +442,7 @@ BAD_INPUTS = {
     "audit window -3": (_META + _FINAL, ["audit", "--window", "-3"], {}),
     "sweep n 1": (None, ["sweep", "--n", "1"], {}),
     "sweep target nan": (None, ["sweep", "--target", "nan", "--n", "4", "--trials", "10"], {}),
+    "sweep target 1e-300": (None, ["sweep", "--n", "2", "--trials", "1", "--target", "1e-300"], {}),
     "stability p above 1": (None, ["mc", "--mode", "stability-multi", "--n", "3",
                                    "--p", "1.5", "--trials", "10"], {}),
     "stability cap 0": (None, ["mc", "--mode", "stability-multi", "--n", "3", "--p", "0.5",

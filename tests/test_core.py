@@ -1,6 +1,8 @@
 import copy
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpo.arborescence import Arborescence
 from mpo.core import (
@@ -317,3 +319,45 @@ class TestInvariants:
         assert s.edges[2][1] == 1
         s, _ = deliver(s, Failed(subject=0, reporter=2, parent=1), src=2)
         assert s.edges[2][1] == 1 and s.edges[1][2] == 1
+
+
+def _phases_and_timers(state):
+    return list(state.phases), [(t.on, t.timeout, t.elapsed, t.ver) for t in state.timers]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 5), st.data())
+def test_a_stimulus_changes_only_the_leader_and_its_subject(n, data):
+    # the contract the simulator relies on to read a transition's effects off
+    # the state: only a sender timeout moves the leader, and only the
+    # subject's phase and timer change (a `failed` delivery has no subject)
+    states = [init_state(p, n, CFG) for p in range(n)]
+    emitted = []
+    for _ in range(data.draw(st.integers(1, 40))):
+        stimuli = [("sender", p) for p in range(n)]
+        stimuli += [("receiver", p, q) for p in range(n) for q in range(n)
+                    if q != p and states[p].timers[q].on]
+        stimuli += [("deliver", i) for i in range(len(emitted))]
+        kind, *args = data.draw(st.sampled_from(stimuli))
+        if kind == "deliver":
+            pkt = emitted[args[0]]
+            state, msg = states[pkt.dst], pkt.payload
+            subject = None if isinstance(msg, Failed) else msg.origin
+        else:
+            state, subject = states[args[0]], args[-1]
+        leader = state.leader
+        phases, timers = _phases_and_timers(state)
+        if kind == "sender":
+            _, out = on_sender_timeout(state)
+        elif kind == "receiver":
+            _, out = on_receiver_timeout(state, subject)
+        else:
+            _, out = on_receive(state, pkt)
+        emitted += out
+        if kind != "sender":
+            assert state.leader == leader
+        phases_after, timers_after = _phases_and_timers(state)
+        for q in range(n):
+            if q != subject:
+                assert phases_after[q] == phases[q]
+                assert timers_after[q] == timers[q]
