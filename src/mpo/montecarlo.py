@@ -56,7 +56,13 @@ class Estimate:
     trials: int
 
     def within(self, target: float, k: float = 4.0) -> bool:
-        return abs(self.value - target) <= k * self.stderr
+        """Whether the estimate lies within `k` standard errors of the exact
+        probability `target`, the standard error taken at the target,
+        sqrt(target (1 - target) / trials): a plug-in `stderr` would shrink
+        with a low count and flag a fair estimate.  At a target of 0 or 1 only
+        an exact match passes."""
+        spread = max(target * (1.0 - target), 0.0) / self.trials
+        return abs(self.value - target) <= k * math.sqrt(spread)
 
 
 @dataclass(frozen=True)

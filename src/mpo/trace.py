@@ -6,7 +6,12 @@ the first line, one event per line, and the final leader outputs on the
 last line.  Each line is canonical JSON.  `EVENT_FORMAT` is the event
 contract: the writer's line templates and the reader's checks are both
 built from it at import, and the reader holds every value to its check
-against the n and horizon of the meta record.
+against the n and horizon of the meta record.  The reader first matches
+each event line against its class's pattern, the writer's template read
+backwards and built from the same table, and parses the line as JSON
+otherwise; both ways apply the same checks, so a file is accepted, or
+rejected with the same message and line number, whichever way its lines
+are read.
 
 Events, like core's `Packet` and `MessageId`, are immutable typed tuples
 (`NamedTuple`s) that compare equal only within their class: a `Deliver`
@@ -18,8 +23,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
+from operator import attrgetter, getitem, itemgetter
 from typing import Any, Callable, Iterable, NamedTuple, NoReturn, TextIO, get_args
 
 from .core import Message, MessageId, equal_within_class
@@ -112,7 +118,6 @@ class Trace:
 # hashes: keys sorted, no spaces, and a MessageId, being a tuple, written as
 # [origin, seq]; the event line templates below write the same bytes
 canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-_raw_decode = json.JSONDecoder().raw_decode
 
 
 def fingerprint_scenario(scenario: dict[str, Any]) -> str:
@@ -165,35 +170,71 @@ EVENT_FORMAT = {
     PhaseChange: ("phase", (("proc", "proc", _proc), ("origin", "origin", _proc),
                             ("phase", "phase", _count))),
 }
-# how the writer renders a field that passes a check: its %-format, and the
-# attribute paths under the field whose values fill the format
-_RENDER = {_count: ("%d", ("",)), _proc: ("%d", ("",)), _leader: ("%s", ("",)),
-           _kind: ('"%s"', ("",)), _mid: ("[%d,%d]", (".origin", ".seq"))}
+# how the writer renders a field that passes a check, and how the reader reads
+# it back: its %-format and the attribute paths under the field whose values
+# fill the format; the pattern of exactly the JSON texts that the format can
+# write, with one capture group, and how that group's text becomes the JSON value
+_INT = "(?:0|[1-9][0-9]*)"  # an int >= 0 in JSON: ASCII digits, no sign, no leading 0
+_RENDER = {
+    _count: ("%d", ("",), f"({_INT})", int),
+    _proc: ("%d", ("",), f"({_INT})", int),
+    _leader: ("%s", ("",), f"(null|{_INT})", lambda text: None if text == "null" else int(text)),
+    _kind: ('"%s"', ("",), '"(%s)"' % "|".join(map(re.escape, sorted(_KINDS))), str),
+    _mid: ("[%d,%d]", (".origin", ".seq"), rf"\[({_INT},{_INT})\]",
+           lambda text: [int(v) for v in text.split(",")]),
+}
 # so a kind needs no escaping inside its quotes
 assert all(canonical_json(kind) == f'"{kind}"' for kind in _KINDS)
 
 
-def _encoder(tag: str, fields: tuple) -> Callable[[Any], str]:
-    """`event -> its line`: one %-template with the keys in sorted order, filled
-    from one attrgetter; a leader of None is written as null."""
-    formats = {"t": (canonical_json(tag), ()), "step": ("%d", ("step",))}
-    for attr, key, check in fields:
-        fmt, subs = _RENDER[check]
-        formats[key] = (fmt, tuple(attr + sub for sub in subs))
-    keys = sorted(formats)
-    template = "{%s}\n" % ",".join(f"{canonical_json(k)}:{formats[k][0]}" for k in keys)
-    values = attrgetter(*[path for k in keys for path in formats[k][1]])
-    if any(check is _leader for *_, check in fields):
+def _layout(tag: str, fields: tuple) -> tuple[str, list[str], str, list[str]]:
+    """An event class's line, keys in sorted order, both ways: the writer's
+    %-template and the attribute paths that fill it, and the reader's pattern
+    with one capture group per key but the literal "t", and those keys in order."""
+    cells = {"t": (canonical_json(tag), (), re.escape(canonical_json(tag)))}
+    for attr, key, check in (("step", "step", _count), *fields):  # a step renders as a count
+        fmt, subs, pattern, _ = _RENDER[check]
+        cells[key] = (fmt, tuple(attr + sub for sub in subs), pattern)
+    keys = sorted(cells)
+    heads = [canonical_json(key) + ":" for key in keys]
+    template = "{%s}\n" % ",".join(head + cells[key][0] for head, key in zip(heads, keys))
+    pattern = r"\{%s\}\n?" % ",".join(re.escape(head) + cells[key][2]
+                                     for head, key in zip(heads, keys))
+    return (template, [path for key in keys for path in cells[key][1]], pattern,
+            [key for key in keys if key != "t"])
+
+
+def _encoder(template: str, paths: list[str], nullable: bool) -> Callable[[Any], str]:
+    """`event -> its line`: the %-template filled from one attrgetter; with a
+    `nullable` (leader) field, a None is written as null."""
+    values = attrgetter(*paths)
+    if nullable:
         return lambda ev: template % tuple(["null" if v is None else v for v in values(ev)])
     return lambda ev: template % values(ev)
 
 
-# the table by class for the writer: the event's encoder, and by tag for the
-# reader: (class, getter of the JSON values, their checks)
-_ENCODE = {cls: _encoder(tag, fields) for cls, (tag, fields) in EVENT_FORMAT.items()}
-_DECODE = {tag: (cls, itemgetter("step", *[key for _, key, _ in fields]),
-                 tuple(check for *_, check in fields))
-           for cls, (tag, fields) in EVENT_FORMAT.items()}
+def _tables() -> tuple[dict, dict, dict, re.Pattern]:
+    """The codec's tables.  For the writer, by class: the event's encoder.  For
+    the reader, by tag: (class, getter of the JSON values of "step" and the
+    fields in declaration order, the fields' checks), and (the numbers of the
+    groups that hold the same values in the match of a canonical line); and the
+    canonical lines of all classes as one alternation of their patterns, each
+    followed by an empty group named after its tag, so a match's `lastgroup`
+    is the tag."""
+    encode, decode, groups, branches, first = {}, {}, {}, [], 1
+    for cls, (tag, fields) in EVENT_FORMAT.items():
+        template, paths, pattern, keys = _layout(tag, fields)
+        checks = tuple(check for *_, check in fields)
+        order = ("step", *[key for _, key, _ in fields])
+        encode[cls] = _encoder(template, paths, _leader in checks)
+        decode[tag] = (cls, itemgetter(*order), checks)
+        groups[tag] = tuple(first + keys.index(key) for key in order)
+        branches.append(f"{pattern}(?P<{tag}>)")
+        first += len(keys) + 1
+    return encode, decode, groups, re.compile("|".join(branches))
+
+
+_ENCODE, _DECODE, _GROUPS, _LINE = _tables()
 
 
 def write_trace(trace: Trace, fh: TextIO) -> None:
@@ -213,16 +254,28 @@ def write_trace_file(trace: Trace, path: str) -> None:
 
 
 def _record(line: str, lineno: int) -> dict[str, Any]:
-    # `json.loads`, less the whitespace scans that are ~40% of its cost on a trace line
     try:
-        obj, end = _raw_decode(line, len(line) - len(line.lstrip(" \t\n\r")))
-        if line[end:].strip(" \t\n\r"):
-            raise json.JSONDecodeError("Extra data", line, end)
-    except json.JSONDecodeError as exc:
+        obj = json.loads(line)
+    except ValueError as exc:  # a JSONDecodeError, or an int too long to convert
         raise TraceFormatError(f"line {lineno}: {exc}") from None
     if type(obj) is not dict:
         raise TraceFormatError(f"line {lineno}: not a JSON object")
     return obj
+
+
+class _Checked(dict):
+    """Memo of a field's text -> its checked value: the first look-up of a
+    text runs `check` on it and keeps the value; a failed check keeps nothing."""
+
+    __slots__ = ("check",)
+
+    def __init__(self, check: Callable[[str], Any]) -> None:
+        super().__init__()
+        self.check = check
+
+    def __missing__(self, text: str) -> Any:
+        value = self[text] = self.check(text)
+        return value
 
 
 def read_trace(lines: Iterable[str]) -> Trace:
@@ -253,11 +306,36 @@ def read_trace(lines: Iterable[str]) -> Trace:
         mid = _mid(v, n)
         return ids.setdefault((mid.origin, mid.seq), mid)
 
-    decode = {tag: (cls, values, tuple(interned_mid if c is _mid else c for c in checks))
+    def checked(check: Callable[[Any, int], Any], parse: Callable[[str], Any]) -> _Checked:
+        return _Checked(lambda text: check(parse(text), n))
+
+    # each check as this file applies it: equal ids are read as one MessageId
+    check_of = {check: check for check in _RENDER} | {_mid: interned_mid}
+    decode = {tag: (cls, values, tuple(check_of[c] for c in checks))
               for tag, (cls, values, checks) in _DECODE.items()}
+    # A canonical line's fields are looked up by their text, each distinct text
+    # parsed and checked once, and equal step texts give one int object, as in
+    # a simulated trace.  Any other line, or one with a value out of range, is
+    # read as JSON, which reports what is wrong with it.
+    by_text = {c: checked(check_of[c], parse) for c, (*_, parse) in _RENDER.items()}
+    steps = _Checked(int)
+    canonical = {tag: (cls._make, _GROUPS[tag], (steps, *[by_text[c] for c in checks]))
+                 for tag, (cls, _, checks) in _DECODE.items()}
+    canonical_line = _LINE.fullmatch
     events: list[TraceEvent] = []
     last = 0
     for lineno, line in enumerate(it, start=2):
+        if (m := canonical_line(line)) is not None:
+            make, groups, texts = canonical[m.lastgroup]
+            try:
+                ev = make(map(getitem, texts, m.group(*groups)))
+            except ValueError:
+                pass  # read as JSON below
+            else:
+                if last <= ev.step <= horizon:
+                    events.append(ev)
+                    last = ev.step
+                    continue
         if not line.strip():
             continue
         obj = _record(line, lineno)

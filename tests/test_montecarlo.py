@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from mpo.montecarlo import (
     _AHEAD_CELLS,
+    Estimate,
     Mode,
     _has_multi_hop_leader,
     _reachability,
@@ -93,6 +94,18 @@ class TestEstimators:
         assert mc_single_hop(5, 1.0, 500, seed=1).value == 1.0
         assert mc_multi_hop(5, 1.0, 500, seed=1).value == 1.0
         assert mc_single_hop(5, 0.0, 500, seed=1).value == 0.0
+
+    def test_within_measures_standard_errors_at_the_target(self):
+        # 10 hits in 4,000 trials against an exact 0.00662: 5.2 standard
+        # errors of the plug-in estimate, 3.2 at the target
+        low = Estimate(10 / 4000, math.sqrt(0.0025 * 0.9975 / 4000), 4000)
+        assert abs(low.value - 0.00662) > 5 * low.stderr
+        assert low.within(0.00662, 5.0)
+        assert not low.within(0.02, 5.0)  # 7.9 standard errors at the target
+        assert not Estimate(0.02, 0.0022, 4000).within(0.0025, 5.0)
+        for exact in (0.0, 1.0):
+            assert Estimate(exact, 0.0, 100).within(exact)
+            assert not Estimate(abs(exact - 0.01), 0.01, 100).within(exact)
 
     def test_single_hop_matches_closed_form(self):
         est = mc_single_hop(20, 0.8, 20_000, seed=7)

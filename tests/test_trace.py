@@ -1,12 +1,15 @@
 import copy
 import io
 import json
+import re
 from operator import attrgetter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mpo import trace as mtrace
 from mpo.core import Alive, Failed, MessageId, Packet, StartPhase, StopPhase
 from mpo.netsim import preset_dependable, run
 from mpo.trace import (
@@ -43,7 +46,8 @@ def test_round_trip_preserves_everything():
     assert again.scenario == trace.scenario
 
 
-def test_every_event_kind_serializes():
+def every_kind() -> Trace:
+    """A trace of n=3 with one event of each class."""
     mid = MessageId(1, 2)
     events = [
         Send(1, mid, "alive", 0, 1),
@@ -55,9 +59,13 @@ def test_every_event_kind_serializes():
         Crash(4, 2),
     ]
     scenario = {"n": 3, "horizon": 10, "timers": {}}
-    trace = Trace(fingerprint_scenario(scenario), scenario, events,
-                  [0, 0, None], [False, False, True])
-    assert roundtrip(trace).events == events
+    return Trace(fingerprint_scenario(scenario), scenario, events,
+                 [0, 0, None], [False, False, True])
+
+
+def test_every_event_kind_serializes():
+    trace = every_kind()
+    assert roundtrip(trace).events == trace.events
 
 
 def test_rejects_garbage():
@@ -171,7 +179,8 @@ def test_one_bad_field_is_rejected(trace, data):
     key = data.draw(st.sampled_from(sorted(k for k in obj if k != "t")))
     last_step = trace.events[index - 1].step if index else 0
     obj[key] = data.draw(st.sampled_from(bad_values(key, trace.n, trace.horizon, last_step)))
-    lines[1 + index] = json.dumps(obj) + "\n"
+    dump = data.draw(st.sampled_from([json.dumps, canonical_json]))  # spaced, or canonical
+    lines[1 + index] = dump(obj) + "\n"
     with pytest.raises(TraceFormatError, match=f"line {2 + index}:"):
         read_trace(io.StringIO("".join(lines)))
 
@@ -252,3 +261,121 @@ def test_a_run_emits_only_the_seven_event_classes():
     names = {type(ev).__name__ for ev in run(scn).events}
     assert names == EVENT_NAMES
     assert {cls.__name__ for cls in EVENT_FORMAT} == EVENT_NAMES
+
+
+# ---------------------------------------------------------------------------
+# The reader's two ways: the pattern of each class's canonical line, and JSON
+# ---------------------------------------------------------------------------
+
+def read_counting_json(text: str) -> tuple[Trace, list[int]]:
+    """`read_trace` of `text`, and the numbers of the lines it read as JSON."""
+    record, numbers = mtrace._record, []
+
+    def counted(line: str, lineno: int):
+        numbers.append(lineno)
+        return record(line, lineno)
+
+    with mock.patch.object(mtrace, "_record", counted):
+        return read_trace(io.StringIO(text)), numbers
+
+
+def assert_events_take_the_pattern(trace: Trace) -> None:
+    text = written(trace)
+    lines = text.splitlines(keepends=True)
+    for ev, line in zip(trace.events, lines[1:-1]):
+        m = mtrace._LINE.fullmatch(line)
+        assert m is not None and m.lastgroup == EVENT_FORMAT[type(ev)][0], line
+    again, as_json = read_counting_json(text)
+    assert as_json == [1, len(lines)]  # the meta and final records only
+    assert again.events == trace.events
+
+
+@settings(max_examples=200, deadline=None)
+@given(traces())
+def test_every_written_event_line_matches_its_pattern(trace):
+    assert_events_take_the_pattern(trace)
+
+
+def test_a_simulated_trace_is_read_by_pattern():
+    assert_events_take_the_pattern(run(preset_dependable(8, 0, horizon=2000)))
+
+
+def read_as_json(lines) -> Trace:
+    """`read_trace` with no line taking the pattern: every line read as JSON."""
+    with mock.patch.object(mtrace, "_LINE", re.compile("(?!)")):
+        return read_trace(lines)
+
+
+def outcome(read, lines) -> tuple:
+    try:
+        trace = read(lines)
+    except TraceFormatError as exc:
+        return "rejected", str(exc)
+    return "read", trace.events, trace.final_leaders, trace.crashed
+
+
+INT_LITERAL = re.compile(r"(?<=[:\[,])(0|[1-9][0-9]*)(?=[,\]}])")
+
+
+def each_int(*replace):
+    """Variants of a line, one for each int in it and each way to replace it,
+    `replace(text, n)`."""
+    return lambda line, n: [line[:m.start()] + how(m.group(), n) + line[m.end():]
+                            for m in INT_LITERAL.finditer(line) for how in replace]
+
+
+# name -> (line, n) -> variants of the line that are valid JSON or not
+PERTURBATIONS = {
+    "canonical": lambda line, n: [line],
+    "space after comma": lambda line, n: [line.replace(",", ", ")],
+    "space after colon": lambda line, n: [line.replace(":", ": ")],
+    "reordered keys": lambda line, n: [json.dumps(
+        dict(reversed(json.loads(line).items())), separators=(",", ":")) + "\n"],
+    "leading zero": each_int(lambda v, n: "0" + v),
+    "minus zero": each_int(lambda v, n: "-0"),
+    "negative": each_int(lambda v, n: "-5"),
+    # ARABIC-INDIC DIGIT ONE, alone and after the int
+    "unicode digit": each_int(lambda v, n: "\u0661", lambda v, n: v + "\u0661"),
+    "true": each_int(lambda v, n: "true"),
+    "float": each_int(lambda v, n: "1.0"),
+    "process n": each_int(lambda v, n: str(n)),
+    "zero": each_int(lambda v, n: "0"),  # in a step, below the last one
+    "escaped strings": lambda line, n: [re.sub(
+        r'":"(\w)', lambda m: '":"\\u%04x' % ord(m.group(1)), line)],
+    "crlf": lambda line, n: [line.replace("\n", "\r\n")],
+    "trailing spaces": lambda line, n: [line.replace("}\n", "}  \n")],
+    "no newline": lambda line, n: [line.rstrip("\n")],
+}
+
+
+def assert_ways_agree(trace: Trace, perturb) -> None:
+    lines = written(trace).splitlines(keepends=True)
+    for index in range(1, len(lines) - 1):
+        for variant in perturb(lines[index], trace.n):
+            changed = [*lines[:index], variant, *lines[index + 1:]]
+            assert outcome(read_trace, changed) == outcome(read_as_json, changed), variant
+
+
+@pytest.mark.parametrize("name", PERTURBATIONS)
+def test_pattern_and_json_agree(name):
+    assert_ways_agree(every_kind(), PERTURBATIONS[name])
+
+
+@settings(max_examples=100, deadline=None)
+@given(traces(), st.sampled_from(sorted(PERTURBATIONS)))
+def test_pattern_and_json_agree_on_any_trace(trace, name):
+    assert_ways_agree(trace, PERTURBATIONS[name])
+
+
+def test_ids_are_shared_across_the_two_ways():
+    lines = written(every_kind()).splitlines(keepends=True)
+    lines[2] = lines[2].replace(",", ", ")  # the Deliver, read as JSON
+    events = read_trace(lines).events
+    assert events[0].mid is events[1].mid is events[2].mid
+
+
+def test_an_int_too_long_to_convert_is_a_format_error():
+    lines = written(every_kind()).splitlines(keepends=True)
+    lines[7] = lines[7].replace('"step":4', '"step":' + "9" * 5000)
+    with pytest.raises(TraceFormatError, match="line 8:"):
+        read_trace(lines)
