@@ -15,7 +15,9 @@ from mpo.montecarlo import Mode, mc_stability, stability_sweep
 SEED = 9
 
 
-def main():
+def main(trials: int = 3_000):
+    """`trials` runs per estimate of the shrinking-p sweep; the multi-hop
+    column, whose runs last up to the cap, takes a third of them."""
     n, p = 4, 0.9
     q = p ** (n - 1)
     est = mc_stability(n, p, 50_000, SEED, Mode.SINGLE_HOP)
@@ -26,14 +28,14 @@ def main():
     print(f"{'n':>4}  {'single-hop':>12}  {'multi-hop':>12}")
     for size in (4, 8, 16):
         single = mc_stability(size, 0.7, 4_000, SEED, Mode.SINGLE_HOP, cap=5_000)
-        multi = mc_stability(size, 0.7, 1_000, SEED, Mode.MULTI_HOP, cap=5_000)
+        multi = mc_stability(size, 0.7, trials // 3, SEED, Mode.MULTI_HOP, cap=5_000)
         mark = "*" if multi.censored else ""
         print(f"{size:>4}  {single.mean:>12.3f}  {multi.mean:>11.1f}{mark}")
     print("(* = some runs hit the cap; the mean is a lower bound)")
 
     print("\nshrinking-p regime, target level 3:")
     print(f"{'n':>4}  {'p(n)':>8}  {'bitimely stability':>18}")
-    for row in stability_sweep(3.0, (8, 16, 32, 64), trials=3_000, seed=SEED,
+    for row in stability_sweep(3.0, (8, 16, 32, 64), trials=trials, seed=SEED,
                                cap=2_000):
         print(f"{row.n:>4}  {row.p:>8.3f}  {row.mean:>18.3f}")
     print("p(n) falls toward zero yet the retention level stays put")

@@ -32,9 +32,11 @@ to all processes, so such a process could never be one.
 
 from __future__ import annotations
 
+import gc
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .arborescence import Arborescence, TopologyError, WeightedDigraph, min_arborescence
 
@@ -114,6 +116,28 @@ def equal_within_class(cls: type) -> type:
 
     cls.__eq__, cls.__ne__, cls.__hash__ = __eq__, __ne__, tuple.__hash__
     return cls
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Switch CPython's cyclic garbage collector off for the body, then back
+    to the state it was found in, also when the body raises.
+
+    For the loops that build a trace's event list (`netsim.run` and
+    `trace.read_trace`).  They make no reference cycles, so the collector
+    has nothing to find there; but their typed tuples (events, `MessageId`,
+    `Packet`) are tuple subclasses, which CPython never untracks as it does
+    plain tuples, so every collection during the loop walks all of them
+    again.  The work it skips is deferred to the first collection after
+    the body.  mpo is single-threaded, so a process-wide pause is safe.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @equal_within_class

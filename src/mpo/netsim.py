@@ -25,11 +25,16 @@ step including the step in which a delivery reset them, so a timer
 re-armed by a delivery at step s fires (absent further resets) at
 s + timeout - 1, while one armed at init or by a timeout handler fires
 at s + timeout.
+
+`run` pauses the cyclic garbage collector while it builds the event list
+(see `core.collector_paused`): its loop makes no reference cycles, and
+nothing observable changes.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import asdict, dataclass, field
 from heapq import heappop, heappush
 from typing import Any
@@ -58,6 +63,7 @@ from .core import (
     Packet,
     TimerConfig,
     advance_timers,
+    collector_paused,
     init_state,
     on_receive,
     on_receiver_timeout,
@@ -159,6 +165,17 @@ class Scenario:
         return tr.fingerprint_scenario(self.to_dict())
 
 
+_DECIMAL_INT = re.compile(r"\s*[+-]?[0-9]+\s*")
+
+
+def _int(v: Any) -> int:
+    """An int, or a decimal-int string (a config file's form): never a bool
+    or a float, which `int()` would quietly turn into another scenario."""
+    if type(v) is int or type(v) is str and _DECIMAL_INT.fullmatch(v):
+        return int(v)
+    raise ValueError(f"expected an integer, got {v!r}")
+
+
 def _entries(d: dict, key_fn, value_fn) -> dict:
     out = {}
     for k, v in d.items():
@@ -173,7 +190,7 @@ def _pair(key: str) -> tuple[int, int]:
     u, arrow, v = key.partition("->")
     if not arrow:
         raise ValueError("expected 'U->V'")
-    return int(u), int(v)
+    return _int(u), _int(v)
 
 
 def _pairs(d: dict[str, str]) -> dict[tuple[int, int], ChannelModel]:
@@ -184,24 +201,24 @@ def _propagation(d: dict[str, Any] | None) -> GeneralPropagation | None:
     if d is None:
         return None
     return GeneralPropagation(
-        **{k: int(v) if k == "bound" else float(v) for k, v in d.items()}
+        **{k: _int(v) if k == "bound" else float(v) for k, v in d.items()}
     )
 
 
 # to_dict key -> (Scenario field, converter from a JSON or config-file value)
 _FROM_DICT = {
-    "n": ("n", int),
-    "horizon": ("horizon", int),
-    "seed": ("seed", int),
-    "timers": ("timers", lambda d: TimerConfig(**{k: int(v) for k, v in d.items()})),
+    "n": ("n", _int),
+    "horizon": ("horizon", _int),
+    "seed": ("seed", _int),
+    "timers": ("timers", lambda d: TimerConfig(**{k: _int(v) for k, v in d.items()})),
     "default_channel": ("default_channel", model_from_spec),
     "channels": ("channels", _pairs),
-    "origin_channels": ("origin_channels", lambda d: _entries(d, int, _pairs)),
+    "origin_channels": ("origin_channels", lambda d: _entries(d, _int, _pairs)),
     "adjacency": (
         "adjacency",
-        lambda a: None if a is None else tuple(frozenset(map(int, s)) for s in a),
+        lambda a: None if a is None else tuple(frozenset(map(_int, s)) for s in a),
     ),
-    "crashes": ("crash_schedule", lambda d: _entries(d, int, int)),
+    "crashes": ("crash_schedule", lambda d: _entries(d, _int, _int)),
     "propagation": ("propagation", _propagation),
     "labels": ("labels", dict),
 }
@@ -502,6 +519,7 @@ class _Engine:
         )
 
 
+@collector_paused()
 def run(scn: Scenario) -> tr.Trace:
     """Execute the scenario to its horizon; the trace is a pure function of it."""
     return _Engine(scn).run_fast()

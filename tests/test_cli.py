@@ -423,6 +423,20 @@ BAD_INPUTS = {
     "trace crashed with no crash event": (
         _META + '{"t":"final","leaders":[null,null,null],"crashed":[false,true,true]}\n',
         ["audit"], {}),
+    # int fields of the meta record's scenario that int() would truncate
+    "trace scenario seed 1.5": (_meta({"n": 3, "horizon": 100, "seed": 1.5}) + _FINAL,
+                                ["audit"], {}),
+    "trace scenario seed true": (_meta({"n": 3, "horizon": 100, "seed": True}) + _FINAL,
+                                 ["audit"], {}),
+    "trace scenario timer 16.9": (
+        _meta({"n": 3, "horizon": 100, "timers": {"sender_timeout": 16.9}}) + _FINAL,
+        ["audit"], {}),
+    "trace scenario crash step 2.5": (
+        _meta({"n": 3, "horizon": 100, "crashes": {"1": 2.5}}) + _FINAL, ["audit"], {}),
+    "trace scenario propagation bound 4.5": (
+        _meta({"n": 3, "horizon": 100,
+               "propagation": {"p_reliable": 0.9, "p_timely": 0.6, "bound": 4.5}}) + _FINAL,
+        ["audit"], {}),
     "trace final leader 7": (
         _META + '{"t":"final","leaders":[7,null,null],"crashed":[false,false,false]}\n',
         ["audit"], {}),
