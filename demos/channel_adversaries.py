@@ -17,13 +17,14 @@ from mpo.channels import (
     Lossy,
     StronglyNonTimely,
     Timely,
+    model_to_spec,
     schedule_delivery,
     suppression_windows,
 )
 from mpo.core import Alive, MessageId, Packet
 
 
-def probe(name, model, sends=300, state=None):
+def probe(model, sends=300, state=None):
     rng = random.Random(7)
     state = state or ChannelState()
     delays, drops = [], 0
@@ -35,21 +36,21 @@ def probe(name, model, sends=300, state=None):
         else:
             delays.append(due - i * 3)
     kept = len(delays)
-    print(f"{name:<34} delivered {kept:>4}/{sends}"
+    print(f"{model_to_spec(model):<54} delivered {kept:>4}/{sends}"
           + (f"  delay range [{min(delays)}, {max(delays)}]" if delays else ""))
 
 
 def main():
     print("one packet every 3 steps, 300 packets per model\n")
-    probe("timely b=4", Timely(4))
-    probe("eventually_timely until=450", EventuallyTimely(4, unreliable_until=450))
-    probe("fair_lossy drop=2 (every 3rd)", FairLossy(DropPattern(2), 2, 6))
-    probe("fair_lossy q=0.5", FairLossy(DeliverProb(0.5), 2, 6))
+    probe(Timely(4))
+    probe(EventuallyTimely(4, unreliable_until=450))
+    probe(FairLossy(DropPattern(2), 2, 6))  # delivers every 3rd packet
+    probe(FairLossy(DeliverProb(0.5), 2, 6))
     snt = StronglyNonTimely(burst=8, window_cap=128, delay_min=1, delay_max=5)
     windows = suppression_windows(seed=1, src=0, dst=1, burst=8, cap=128,
                                   horizon=1200)
-    probe("strongly_non_timely", snt, state=ChannelState(windows=windows))
-    probe("lossy", Lossy())
+    probe(snt, state=ChannelState(windows=windows))
+    probe(Lossy())
 
     print("\ndelivery-free windows on the strongly non-timely channel:")
     for lo, hi in windows:

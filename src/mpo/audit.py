@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from .core import ConfigurationError, MessageId
+from .core import ConfigurationError, MessageId, TimerConfig
+from .netsim import read_timers
 from .trace import LeaderChange, Send, TimerFired, Trace
 
 
@@ -57,7 +58,6 @@ class AuditReport:
 class TimerBoundReport:
     final_timeouts: dict[int, int]  # correct process -> final timeout for the subject
     stabilized: bool                # no firing inside the final quiet window
-    last_fire_step: int | None
 
 
 @dataclass
@@ -71,7 +71,7 @@ class TraceSummary:
 
     horizon: int
     correct: list[int]
-    timers: dict[str, Any]  # the scenario's timer configuration
+    timers: TimerConfig
     # process -> (its last leader output, the step of that output)
     outputs: dict[int, tuple[int | None, int]]
     # message -> [origination step, kind, packets sent]
@@ -122,30 +122,26 @@ class TraceSummary:
         """Distinct ordered (src, dst) pairs carrying sends after `cutoff`."""
         return sum(1 for step in self.last_send.values() if step > cutoff)
 
-    def timer_bound(self, leader: int, *, quiet_window: int | None = None
-                    ) -> TimerBoundReport:
+    def timer_bound(self, leader: int) -> TimerBoundReport:
         """Final receive-timer timeout for subject `leader` at every correct process.
 
         Timeouts grow only when the timer fires, by the configured
         increment, so finals are reconstructed from firing counts.
         `stabilized` is False if any such timer still fired inside the
-        final quiet window (default: last 20% of the horizon), i.e. growth
-        had not stopped.
+        final quiet window (the last 20% of the horizon), i.e. growth had
+        not stopped.
         """
-        initial = int(self.timers["initial_receiver_timeout"])
-        increment = int(self.timers["timeout_increment"])
-        if quiet_window is None:
-            quiet_window = max(1, self.horizon // 5)
+        initial = self.timers.initial_receiver_timeout
+        increment = self.timers.timeout_increment
         finals = {
             p: initial + increment * self.receive_fires.get((p, leader), 0)
             for p in self.correct
             if p != leader
         }
+        quiet_from = self.horizon - max(1, self.horizon // 5)
         last_fire = self.last_receive_fire.get(leader)
-        stabilized = last_fire is None or last_fire <= self.horizon - quiet_window
-        return TimerBoundReport(
-            final_timeouts=finals, stabilized=stabilized, last_fire_step=last_fire
-        )
+        stabilized = last_fire is None or last_fire <= quiet_from
+        return TimerBoundReport(final_timeouts=finals, stabilized=stabilized)
 
 
 def summarize(trace: Trace) -> TraceSummary:
@@ -173,7 +169,7 @@ def summarize(trace: Trace) -> TraceSummary:
     return TraceSummary(
         horizon=trace.horizon,
         correct=trace.correct_processes(),
-        timers=trace.scenario["timers"],
+        timers=read_timers(trace.scenario.get("timers", {})),
         outputs=outputs,
         messages=messages,
         last_send=last_send,
@@ -182,15 +178,13 @@ def summarize(trace: Trace) -> TraceSummary:
     )
 
 
-def audit_timer_bound(
-    trace: Trace, leader: int, *, quiet_window: int | None = None
-) -> TimerBoundReport:
+def audit_timer_bound(trace: Trace, leader: int) -> TimerBoundReport:
     """`TraceSummary.timer_bound` of `trace`."""
-    return summarize(trace).timer_bound(leader, quiet_window=quiet_window)
+    return summarize(trace).timer_bound(leader)
 
 
 def default_cutoff(trace: Trace, convergence_step: int) -> int:
-    return convergence_step + 10 * int(trace.scenario["timers"]["sender_timeout"])
+    return convergence_step + 10 * read_timers(trace.scenario.get("timers", {})).sender_timeout
 
 
 def audit_report(trace: Trace, cutoff: int | None = None,

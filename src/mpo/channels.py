@@ -6,13 +6,21 @@ running per-channel state (fair-lossy stream counters, non-timely
 suppression windows) read and update a ChannelState owned by the caller,
 so a model instance itself stays immutable config and one scenario can
 drive many independent runs.
+
+The textual forms close the module: `read_int` and `read_float` read
+every number of a scenario's dict or config-file form, and
+`model_from_spec` reads a channel spec with them, rejecting any key its
+model does not take.
 """
 
 from __future__ import annotations
 
+import math
 import random
+import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from typing import Any
 
 from .core import ConfigurationError, Packet
 
@@ -65,13 +73,15 @@ class DropPattern:
 
 @dataclass(frozen=True)
 class DeliverProb:
-    """Deliver each packet independently with probability q > 0."""
+    """Deliver each packet independently with probability q > 0, kept as a
+    float so that DeliverProb(1) and its spec `q=1.0` are one model."""
 
     q: float
 
     def __post_init__(self) -> None:
         if not 0 < self.q <= 1:
             raise ConfigurationError(f"q must lie in (0, 1], got {self.q}")
+        object.__setattr__(self, "q", float(self.q))
 
 
 @dataclass(frozen=True)
@@ -234,8 +244,36 @@ def schedule_delivery(
 
 
 # ---------------------------------------------------------------------------
-# Textual channel specs (config files, scenario hashing)
+# Textual forms: numbers and channel specs (config files, scenario hashing)
 # ---------------------------------------------------------------------------
+
+# The readers of every number in a scenario's JSON or config-file form, in a
+# channel spec or not.  Each takes a number of its type or a decimal string
+# (optional sign and surrounding spaces, ASCII digits, no `_`) and raises
+# ValueError for anything else: never a bool, and no int from a float, which
+# `int()` and `float()` would quietly turn into another scenario.
+_DECIMAL_INT = re.compile(r"\s*[+-]?[0-9]+\s*")
+_DECIMAL_FLOAT = re.compile(r"\s*[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?\s*")
+
+
+def read_int(v: Any) -> int:
+    if type(v) is int or type(v) is str and _DECIMAL_INT.fullmatch(v):
+        return int(v)
+    raise ValueError(f"expected an integer, got {v!r}")
+
+
+def read_float(v: Any) -> float:
+    """A finite float, read from an int, a float or a decimal string: never
+    nan or an infinity."""
+    if type(v) in (int, float) or type(v) is str and _DECIMAL_FLOAT.fullmatch(v):
+        try:
+            value = float(v)
+        except OverflowError:  # an int past the float range
+            value = math.inf
+        if math.isfinite(value):
+            return value
+    raise ValueError(f"expected a finite number, got {v!r}")
+
 
 def model_to_spec(model: ChannelModel) -> str:
     """Render a model as the one-line form used in scenario config files."""
@@ -266,7 +304,9 @@ class ChannelSpecError(ValueError):
 def model_from_spec(spec: str) -> ChannelModel:
     """Parse the textual channel form; inverse of model_to_spec.
 
-    An omitted optional key keeps the model's field default.
+    An omitted optional key keeps the model's field default.  A key the
+    model does not take, a repeated key, and `drop=` together with `q=` are
+    rejected.
     """
     try:
         return _model_from_words(spec.split())
@@ -274,42 +314,51 @@ def model_from_spec(spec: str) -> ChannelModel:
         raise ChannelSpecError(f"{exc} in {spec!r}") from None
 
 
+def _delay(text: str) -> tuple[int, int]:
+    """`lo:hi`, or `lo` for `lo:lo`."""
+    lo, colon, hi = text.partition(":")
+    return read_int(lo), read_int(hi if colon else lo)
+
+
+# spec model name -> (model class, its keys -> (the model field each sets, the
+# reader of its value)); `delay` stands for the pair delay_min, delay_max
+_SPEC_KEYS = {
+    "timely": (Timely, {"b": ("bound", read_int)}),
+    "eventually_timely": (EventuallyTimely, {"b": ("bound", read_int),
+                                             "until": ("unreliable_until", read_int)}),
+    "fair_lossy": (FairLossy, {"drop": ("policy", lambda text: DropPattern(read_int(text))),
+                               "q": ("policy", lambda text: DeliverProb(read_float(text))),
+                               "delay": ("delay", _delay)}),
+    "strongly_non_timely": (StronglyNonTimely, {"burst": ("burst", read_int),
+                                                "cap": ("window_cap", read_int),
+                                                "delay": ("delay", _delay),
+                                                "quiet": ("quiet_until", read_int)}),
+    "lossy": (Lossy, {}),
+}
+
+
 def _model_from_words(words: list[str]) -> ChannelModel:
     if not words:
         raise ValueError("empty channel spec")
-    name, args = words[0], {}
-    for word in words[1:]:
-        key, eq, val = word.partition("=")
+    name, *pairs = words
+    if name not in _SPEC_KEYS:
+        raise ValueError(f"unknown channel model {name!r}")
+    cls, keys = _SPEC_KEYS[name]
+    values: dict[str, Any] = {}
+    for word in pairs:
+        key, eq, text = word.partition("=")
         if not eq:
             raise ValueError(f"expected key=value, got {word!r}")
-        args[key] = val
-
-    def ints(**keys: str) -> dict[str, int]:
-        """Field values for the spec keys present: field name -> spec key."""
-        return {f: int(args[k]) for f, k in keys.items() if k in args}
-
-    def delay() -> dict[str, int]:
-        if "delay" not in args:
-            return {}
-        lo, _, hi = args["delay"].partition(":")
-        return {"delay_min": int(lo), "delay_max": int(hi or lo)}
-
-    if name in ("timely", "eventually_timely") and "b" not in args:
-        raise ValueError(f"{name!r} needs b=")
-    if name == "timely":
-        return Timely(**ints(bound="b"))
-    if name == "eventually_timely":
-        return EventuallyTimely(**ints(bound="b", unreliable_until="until"))
-    if name == "fair_lossy":
-        if "drop" in args:
-            return FairLossy(DropPattern(int(args["drop"])), **delay())
-        if "q" in args:
-            return FairLossy(DeliverProb(float(args["q"])), **delay())
+        if key not in keys:
+            raise ValueError(f"{name} takes no key {key!r}")
+        attr, read = keys[key]
+        if attr in values:  # a repeated key, or drop= and q=
+            raise ValueError(f"{word!r} sets {attr} a second time")
+        values[attr] = read(text)
+    if name in ("timely", "eventually_timely") and "bound" not in values:
+        raise ValueError(f"{name} needs b=")
+    if name == "fair_lossy" and "policy" not in values:
         raise ValueError("fair_lossy needs drop= or q=")
-    if name == "strongly_non_timely":
-        return StronglyNonTimely(
-            **ints(burst="burst", window_cap="cap", quiet_until="quiet"), **delay()
-        )
-    if name == "lossy":
-        return Lossy()
-    raise ValueError(f"unknown channel model {name!r}")
+    if "delay" in values:
+        values["delay_min"], values["delay_max"] = values.pop("delay")
+    return cls(**values)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -28,7 +29,7 @@ from .montecarlo import (
     mc_stability,
     stability_sweep,
 )
-from .netsim import Scenario, ScenarioError, preset_dependable, run, validate_scenario
+from .netsim import Scenario, ScenarioError, preset_dependable, run
 from .scenario_io import dump_scenario_file, parse_scenario_file
 from .trace import (
     LeaderChange,
@@ -71,11 +72,10 @@ _crash.__name__ = "PROC@STEP[,PROC@STEP...]"
 
 def cmd_run(args: argparse.Namespace) -> int:
     scn = parse_scenario_file(args.scenario)
-    if args.seed is not None:
-        scn.seed = args.seed
-    if args.horizon is not None:
-        scn.horizon = args.horizon
-    trace = run(scn)  # validates the overridden scenario before anything runs
+    overrides = {"seed": args.seed, "horizon": args.horizon}
+    # replace checks the overridden scenario before anything runs
+    scn = dataclasses.replace(scn, **{k: v for k, v in overrides.items() if v is not None})
+    trace = run(scn)
     write_trace_file(trace, args.out)
     print(f"wrote {len(trace.events)} events to {args.out} "
           f"(fingerprint {trace.fingerprint})")
@@ -84,9 +84,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_audit(args: argparse.Namespace) -> int:
     trace = read_trace_file(args.trace)
-    scn = Scenario.from_dict(trace.scenario)
-    validate_scenario(scn)
-    trace.scenario = scn.to_dict()
+    Scenario.from_dict(trace.scenario)  # a bad meta scenario is an input error
     report = audit_report(trace, cutoff=args.cutoff, window=args.window)
     payload = json.dumps(report.to_json_obj(), indent=2, sort_keys=True)
     if args.report:
@@ -143,11 +141,12 @@ def cmd_mc(args: argparse.Namespace) -> int:
         for n in args.n:
             for p in args.p:
                 est = mc_stability(n, p, args.trials, args.seed, mode, cap=args.cap)
+                # the single-hop law, infinite (null) at p = 1; multi hop has none
                 q = p ** (n - 1)
                 rows.append({
                     "mode": args.mode, "n": n, "p": p, "trials": args.trials,
                     "estimate": est.mean, "stderr": est.stderr,
-                    "closed_form": q / (1 - q) if q < 1 else float("inf"),
+                    "closed_form": q / (1 - q) if mode is Mode.SINGLE_HOP and q < 1 else None,
                     "censored": est.censored, "cap": est.cap,
                     "config": config,
                 })
@@ -174,7 +173,6 @@ def cmd_demo(args: argparse.Namespace) -> int:
         args.n, args.seed, args.leader, horizon=args.horizon,
         crash_victims=victims, crash_steps=steps,
     )
-    validate_scenario(scn)
     if args.emit_scenario:
         dump_scenario_file(scn, args.emit_scenario)
     trace = run(scn)

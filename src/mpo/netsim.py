@@ -34,7 +34,6 @@ nothing observable changes.
 from __future__ import annotations
 
 import random
-import re
 from dataclasses import asdict, dataclass, field
 from heapq import heappop, heappush
 from typing import Any
@@ -52,6 +51,8 @@ from .channels import (
     Timely,
     model_from_spec,
     model_to_spec,
+    read_float,
+    read_int,
     schedule_delivery,
     suppression_windows,
 )
@@ -84,7 +85,8 @@ class GeneralPropagation:
     with probability p_reliable) and a timely subset T (each R edge also
     timely with probability p_timely).  Packets over edges outside R are
     dropped; T edges deliver within `bound` steps; R-only edges deliver
-    late, in (bound, 4*bound].
+    late, in (bound, 4*bound].  The probabilities are kept as floats, so
+    GeneralPropagation(1, 0) and its dict form are one model.
     """
 
     p_reliable: float
@@ -96,11 +98,20 @@ class GeneralPropagation:
             raise ConfigurationError("p_reliable and p_timely must lie in [0, 1]")
         if self.bound < 1:
             raise ConfigurationError(f"bound must be >= 1, got {self.bound}")
+        object.__setattr__(self, "p_reliable", float(self.p_reliable))
+        object.__setattr__(self, "p_timely", float(self.p_timely))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
-    """Complete, hashable description of one simulation run."""
+    """Complete description of one simulation run.
+
+    Immutable and checked on construction: a bad field raises ScenarioError
+    (or a model's ConfigurationError), so every Scenario that exists is
+    valid.  Override a field with `dataclasses.replace`, which checks the
+    result again; the dict-valued fields are not copied, so do not change
+    them in place.
+    """
 
     n: int
     horizon: int
@@ -116,28 +127,35 @@ class Scenario:
     propagation: GeneralPropagation | None = None
     labels: dict[str, Any] = field(default_factory=dict)
 
-    def to_dict(self) -> dict[str, Any]:
-        def chanmap(d: dict[tuple[int, int], ChannelModel]) -> dict[str, str]:
-            return {f"{u}->{v}": model_to_spec(m) for (u, v), m in sorted(d.items())}
+    def __post_init__(self) -> None:
+        n = self.n
+        if n < 2:
+            raise ScenarioError(f"n must be >= 2, got {n}")
+        if self.horizon < 1:
+            raise ScenarioError("horizon must be positive")
+        _check_pairs("channels", self.channels, n)
+        for origin, pairs in self.origin_channels.items():
+            if not 0 <= origin < n:
+                raise ScenarioError(f"origin_channels: unknown origin {origin}")
+            _check_pairs(f"origin_channels {origin}", pairs, n)
+        for p, step in self.crash_schedule.items():
+            if not 0 <= p < n:
+                raise ScenarioError(f"crash of unknown process {p}")
+            if not 1 <= step <= self.horizon:
+                raise ScenarioError(f"crash step {step} outside [1, horizon]")
+        if self.adjacency is not None:
+            if len(self.adjacency) != n:
+                raise ScenarioError(
+                    f"adjacency: the topology needs one out-neighbor list per process,"
+                    f" got {len(self.adjacency)} for n={n}"
+                )
+            for p, neighbors in enumerate(self.adjacency):
+                bad = sorted(q for q in neighbors if not 0 <= q < n)
+                if bad:
+                    raise ScenarioError(f"adjacency: process {p} lists unknown process {bad[0]}")
 
-        return {
-            "n": self.n,
-            "horizon": self.horizon,
-            "seed": self.seed,
-            "timers": asdict(self.timers),
-            "default_channel": model_to_spec(self.default_channel),
-            "channels": chanmap(self.channels),
-            "origin_channels": {
-                str(o): chanmap(d) for o, d in sorted(self.origin_channels.items())
-            },
-            "adjacency": None
-            if self.adjacency is None
-            else [sorted(s) for s in self.adjacency],
-            "crashes": {str(p): s for p, s in sorted(self.crash_schedule.items())},
-            "propagation": None if self.propagation is None else asdict(self.propagation),
-            # stringified so a config-file round trip keeps the fingerprint
-            "labels": {str(k): str(v) for k, v in sorted(self.labels.items())},
-        }
+    def to_dict(self) -> dict[str, Any]:
+        return {key: write(getattr(self, attr)) for key, (attr, write, _) in _DICT_FORM.items()}
 
     @classmethod
     def from_dict(cls, obj: dict[str, Any]) -> "Scenario":
@@ -152,11 +170,11 @@ class Scenario:
                 raise ScenarioError(f"missing required key {key!r}")
         kwargs = {}
         for key, value in obj.items():
-            if key not in _FROM_DICT:
+            if key not in _DICT_FORM:
                 raise ScenarioError(f"unknown key {key!r}")
-            name, convert = _FROM_DICT[key]
+            attr, _, read = _DICT_FORM[key]
             try:
-                kwargs[name] = convert(value)
+                kwargs[attr] = read(value)
             except (ValueError, TypeError, AttributeError) as exc:
                 raise ScenarioError(f"{key}: {exc}") from None
         return cls(**kwargs)
@@ -165,15 +183,10 @@ class Scenario:
         return tr.fingerprint_scenario(self.to_dict())
 
 
-_DECIMAL_INT = re.compile(r"\s*[+-]?[0-9]+\s*")
-
-
-def _int(v: Any) -> int:
-    """An int, or a decimal-int string (a config file's form): never a bool
-    or a float, which `int()` would quietly turn into another scenario."""
-    if type(v) is int or type(v) is str and _DECIMAL_INT.fullmatch(v):
-        return int(v)
-    raise ValueError(f"expected an integer, got {v!r}")
+def _check_pairs(where: str, pairs, n: int) -> None:
+    for (u, v) in pairs:
+        if not (0 <= u < n and 0 <= v < n) or u == v:
+            raise ScenarioError(f"{where}: bad channel pair ({u}, {v})")
 
 
 def _entries(d: dict, key_fn, value_fn) -> dict:
@@ -190,71 +203,66 @@ def _pair(key: str) -> tuple[int, int]:
     u, arrow, v = key.partition("->")
     if not arrow:
         raise ValueError("expected 'U->V'")
-    return _int(u), _int(v)
+    return read_int(u), read_int(v)
 
 
-def _pairs(d: dict[str, str]) -> dict[tuple[int, int], ChannelModel]:
+def _read_pairs(d: dict[str, str]) -> dict[tuple[int, int], ChannelModel]:
     return _entries(d, _pair, model_from_spec)
 
 
-def _propagation(d: dict[str, Any] | None) -> GeneralPropagation | None:
-    if d is None:
-        return None
+def _write_pairs(d: dict[tuple[int, int], ChannelModel]) -> dict[str, str]:
+    return {f"{u}->{v}": model_to_spec(m) for (u, v), m in sorted(d.items())}
+
+
+def _optional(convert):
+    """`convert`, with None kept as None."""
+    return lambda value: None if value is None else convert(value)
+
+
+def _same(value):
+    return value
+
+
+def read_timers(d: dict[str, Any]) -> TimerConfig:
+    """The `timers` value of the dict form; a key left out keeps its default."""
+    return TimerConfig(**{k: read_int(v) for k, v in d.items()})
+
+
+def _read_propagation(d: dict[str, Any]) -> GeneralPropagation:
     return GeneralPropagation(
-        **{k: _int(v) if k == "bound" else float(v) for k, v in d.items()}
+        **{k: read_int(v) if k == "bound" else read_float(v) for k, v in d.items()}
     )
 
 
-# to_dict key -> (Scenario field, converter from a JSON or config-file value)
-_FROM_DICT = {
-    "n": ("n", _int),
-    "horizon": ("horizon", _int),
-    "seed": ("seed", _int),
-    "timers": ("timers", lambda d: TimerConfig(**{k: _int(v) for k, v in d.items()})),
-    "default_channel": ("default_channel", model_from_spec),
-    "channels": ("channels", _pairs),
-    "origin_channels": ("origin_channels", lambda d: _entries(d, _int, _pairs)),
+# The dict form, written by `to_dict` and read by `from_dict`: dict key ->
+# (Scenario field, writer of the field's value, reader of its JSON or
+# config-file value).
+_DICT_FORM = {
+    "n": ("n", _same, read_int),
+    "horizon": ("horizon", _same, read_int),
+    "seed": ("seed", _same, read_int),
+    "timers": ("timers", asdict, read_timers),
+    "default_channel": ("default_channel", model_to_spec, model_from_spec),
+    "channels": ("channels", _write_pairs, _read_pairs),
+    "origin_channels": (
+        "origin_channels",
+        lambda d: {str(o): _write_pairs(pairs) for o, pairs in sorted(d.items())},
+        lambda d: _entries(d, read_int, _read_pairs),
+    ),
     "adjacency": (
         "adjacency",
-        lambda a: None if a is None else tuple(frozenset(map(_int, s)) for s in a),
+        _optional(lambda a: [sorted(s) for s in a]),
+        _optional(lambda a: tuple(frozenset(map(read_int, s)) for s in a)),
     ),
-    "crashes": ("crash_schedule", lambda d: _entries(d, _int, _int)),
-    "propagation": ("propagation", _propagation),
-    "labels": ("labels", dict),
+    "crashes": (
+        "crash_schedule",
+        lambda d: {str(p): s for p, s in sorted(d.items())},
+        lambda d: _entries(d, read_int, read_int),
+    ),
+    "propagation": ("propagation", _optional(asdict), _optional(_read_propagation)),
+    # stringified so a config-file round trip keeps the fingerprint
+    "labels": ("labels", lambda d: {str(k): str(v) for k, v in sorted(d.items())}, dict),
 }
-
-
-def _check_pairs(where: str, pairs, n: int) -> None:
-    for (u, v) in pairs:
-        if not (0 <= u < n and 0 <= v < n) or u == v:
-            raise ScenarioError(f"{where}: bad channel pair ({u}, {v})")
-
-
-def validate_scenario(scn: Scenario) -> None:
-    if scn.n < 2:
-        raise ScenarioError(f"n must be >= 2, got {scn.n}")
-    if scn.horizon < 1:
-        raise ScenarioError("horizon must be positive")
-    _check_pairs("channels", scn.channels, scn.n)
-    for origin, pairs in scn.origin_channels.items():
-        if not 0 <= origin < scn.n:
-            raise ScenarioError(f"origin_channels: unknown origin {origin}")
-        _check_pairs(f"origin_channels {origin}", pairs, scn.n)
-    for p, step in scn.crash_schedule.items():
-        if not 0 <= p < scn.n:
-            raise ScenarioError(f"crash of unknown process {p}")
-        if not 1 <= step <= scn.horizon:
-            raise ScenarioError(f"crash step {step} outside [1, horizon]")
-    if scn.adjacency is not None:
-        if len(scn.adjacency) != scn.n:
-            raise ScenarioError(
-                f"adjacency: the topology needs one out-neighbor list per process,"
-                f" got {len(scn.adjacency)} for n={scn.n}"
-            )
-        for p, neighbors in enumerate(scn.adjacency):
-            bad = sorted(q for q in neighbors if not 0 <= q < scn.n)
-            if bad:
-                raise ScenarioError(f"adjacency: process {p} lists unknown process {bad[0]}")
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +288,6 @@ def _link(scn: Scenario, src: int, dst: int,
 
 class _Engine:
     def __init__(self, scn: Scenario):
-        validate_scenario(scn)
         self.scn = scn
         self.rng = random.Random(scn.seed)
         self.states: list[MpoState] = [

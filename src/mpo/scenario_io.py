@@ -2,8 +2,8 @@
 
 A file holds the same keys as the `scenario` object in a trace's meta
 line, one INI section per dict key, and is read by building that dict
-and handing it to `Scenario.from_dict` and `validate_scenario`.  Only
-the section layout is INI-specific:
+and handing it to `Scenario.from_dict`, which reads every value and
+checks the scenario.  Only the section layout is INI-specific:
 
     [scenario]                   ; n, horizon and seed
     n = 6
@@ -43,7 +43,7 @@ from __future__ import annotations
 import configparser
 from typing import Any, TextIO
 
-from .netsim import Scenario, ScenarioError, validate_scenario
+from .netsim import Scenario, ScenarioError
 
 _ORIGIN_PREFIX = "channels:origin="
 
@@ -90,11 +90,9 @@ def parse_scenario(fh: TextIO, source: str = "<config>") -> Scenario:
         else:
             raise ScenarioParseError(f"unknown section [{name}]")
     try:
-        scn = Scenario.from_dict(obj)
-        validate_scenario(scn)
+        return Scenario.from_dict(obj)
     except ScenarioError as exc:
         raise ScenarioParseError(str(exc)) from None
-    return scn
 
 
 def parse_scenario_file(path: str) -> Scenario:

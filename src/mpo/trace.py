@@ -283,8 +283,10 @@ class _Checked(dict):
 @collector_paused()
 def read_trace(lines: Iterable[str]) -> Trace:
     """Trace from its JSON lines; a TraceFormatError unless every record is
-    well-formed, every value passes its check and only blank lines follow
-    the final record."""
+    well-formed, every value passes its check, only blank lines follow the
+    final record, and that record's `crashed` and `leaders` are what the
+    events leave: true for each crashed process, and each process's last
+    `LeaderChange.new` (null for a process with none)."""
     it = iter(lines)
     meta = _record(next(it, ""), 1)
     fp, scenario = meta.get("fingerprint"), meta.get("scenario")
@@ -371,10 +373,21 @@ def read_trace(lines: Iterable[str]) -> Trace:
         leaders = [_leader(v, n) for v in leaders]
     except ValueError as exc:
         raise TraceFormatError(f"final record: leaders: {exc}") from None
-    crashes = {ev.proc for ev in events if type(ev) is Crash}
+    crashes, outputs = set(), [None] * n  # outputs: each process's last new leader
+    for ev in events:
+        cls = type(ev)
+        if cls is LeaderChange:
+            outputs[ev.proc] = ev.new
+        elif cls is Crash:
+            crashes.add(ev.proc)
     if any(type(c) is not bool for c in crashed) or crashed != [p in crashes for p in range(n)]:
         raise TraceFormatError("final record: 'crashed' must be true exactly for the"
                                f" processes with a crash event, {sorted(crashes)}")
+    for p, (leader, output) in enumerate(zip(leaders, outputs)):
+        if leader != output:
+            raise TraceFormatError(
+                f"final record: leaders[{p}] is {leader}, but the events leave process"
+                f" {p} on leader {output} (null: no leader change)")
     return Trace(fp, scenario, events, leaders, crashed)
 
 

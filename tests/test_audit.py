@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from mpo import trace as tr
@@ -242,13 +244,25 @@ class TestReport:
 
     def test_timer_growth_follows_the_converged_leader(self):
         # labels are annotations: an unlabelled run gets the timer growth too
-        scn = preset_dependable(4, seed=3, horizon=8_000)
-        scn.labels = {}
+        scn = dataclasses.replace(preset_dependable(4, seed=3, horizon=8_000), labels={})
         trace = run(scn)
         rep = audit_report(trace)
         assert rep.converged and rep.leader == 0
         assert rep.timer_growth == summarize(trace).timer_bound(0).final_timeouts
         assert sorted(rep.timer_growth) == [1, 2, 3]
+
+    def test_minimal_meta_scenario_takes_the_default_timers(self):
+        # a trace's meta scenario may leave out every key but n and horizon
+        scenario = {"n": 3, "horizon": 1_000}
+        events = [tr.LeaderChange(1, p, None, 0) for p in range(3)]
+        trace = tr.Trace(tr.fingerprint_scenario(scenario), scenario, events,
+                         [0, 0, 0], [False, False, False])
+        rep = audit_report(trace)
+        timers = TimerConfig()
+        assert rep.converged and rep.leader == 0
+        assert rep.cutoff == 1 + 10 * timers.sender_timeout
+        assert rep.timer_growth == {1: timers.initial_receiver_timeout,
+                                    2: timers.initial_receiver_timeout}
 
     def test_report_is_pure(self, converged_trace):
         a = audit_report(converged_trace).to_json_obj()

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import string
@@ -128,7 +129,7 @@ def small_scenarios(draw):
     delays = st.integers(1, 20).flatmap(lambda lo: st.tuples(st.just(lo), st.integers(lo, 40)))
     policies = st.one_of(
         st.builds(DropPattern, st.integers(0, 4)),
-        st.builds(DeliverProb, st.floats(0, 1, exclude_min=True)),
+        st.builds(DeliverProb, st.floats(0, 1, exclude_min=True) | st.just(1)),
     )
     bursts = st.integers(1, 16).flatmap(lambda b: st.tuples(st.just(b), st.integers(b, 300)))
     models = st.one_of(
@@ -140,6 +141,7 @@ def small_scenarios(draw):
         st.just(Lossy()),
     )
     chanmaps = st.dictionaries(pairs, models, max_size=4)
+    probabilities = st.floats(0, 1) | st.sampled_from([0, 1])  # ints too
     return Scenario(
         n=n,
         horizon=horizon,
@@ -154,7 +156,7 @@ def small_scenarios(draw):
         crash_schedule=draw(st.dictionaries(
             st.integers(0, n - 1), st.integers(1, horizon), max_size=n - 1)),
         propagation=draw(st.none() | st.builds(
-            GeneralPropagation, st.floats(0, 1), st.floats(0, 1), st.integers(1, 9))),
+            GeneralPropagation, probabilities, probabilities, st.integers(1, 9))),
         labels=draw(st.dictionaries(
             st.text(_ALNUM, min_size=1, max_size=6), st.text(_ALNUM, max_size=6),
             max_size=3)),
@@ -225,16 +227,14 @@ class TestCliAudit:
                                         {"preset": "dependable", "leader": "x"}],
                              ids=["preset without leader", "leader x"])
     def test_labels_are_not_read(self, tmp_path, labels):
-        scn = preset_dependable(4, seed=3, horizon=8000)
-        scn.labels = labels
+        scn = dataclasses.replace(preset_dependable(4, seed=3, horizon=8000), labels=labels)
         trace = self.make_trace(tmp_path, scn)
         report = tmp_path / "rep.json"
         assert main(["audit", "--trace", str(trace), "--report", str(report)]) == 0
         assert sorted(json.loads(report.read_text())["timer_growth"]) == ["1", "2", "3"]
 
     def test_dead_network_fails_audit(self, tmp_path):
-        scn = Scenario(n=3, horizon=3000, seed=1)
-        scn.default_channel = __import__("mpo.channels", fromlist=["Lossy"]).Lossy()
+        scn = Scenario(n=3, horizon=3000, seed=1, default_channel=Lossy())
         trace = self.make_trace(tmp_path, scn)
         assert main(["audit", "--trace", str(trace)]) == 1
 
@@ -258,6 +258,24 @@ class TestCliMc:
         lines = out.read_text().strip().splitlines()
         assert lines[0].startswith("mode,n,p,trials,estimate,stderr,closed_form")
         assert len(lines) == 1 + 4  # two sizes x two modes
+
+    def test_multi_hop_stability_has_no_closed_form(self, capsys):
+        rc = main(["mc", "--mode", "stability-multi", "--n", "4", "--p", "0.9",
+                   "--trials", "200", "--seed", "2", "--json"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)[0]["closed_form"] is None
+
+    @pytest.mark.parametrize("mode", ["stability-single", "stability-multi"])
+    def test_p_one_writes_valid_json(self, capsys, mode):
+        rc = main(["mc", "--mode", mode, "--n", "4", "--p", "1", "--trials", "20",
+                   "--seed", "2", "--cap", "50", "--json"])
+        assert rc == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        rows = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert rows[0]["closed_form"] is None
 
     def test_stability_mode_json(self, capsys):
         rc = main(["mc", "--mode", "stability-single", "--n", "4", "--p", "0.9",
@@ -347,6 +365,11 @@ BAD_INPUTS = {
     "channel bound 0": ("[channels]\ndefault = timely b=0\n", ["run"], {}),
     "empty delay window": ("[channels]\n0->1 = fair_lossy q=0.5 delay=9:2\n", ["run"], {}),
     "channel bound not a number": ("[channels]\n0->1 = timely b=x\n", ["run"], {}),
+    "channel bound 1_0": ("[channels]\n0->1 = timely b=1_0\n", ["run"], {}),
+    "channel key the model does not take": (
+        "[channels]\ndefault = timely b=4 until=300\n", ["run"], {}),
+    "channel key repeated": ("[channels]\n0->1 = timely b=4 b=5\n", ["run"], {}),
+    "channel drop and q": ("[channels]\n0->1 = fair_lossy drop=1 q=0.5\n", ["run"], {}),
     "propagation bound 0": (
         "[propagation]\np_reliable = 0.9\np_timely = 0.6\nbound = 0\n", ["run"], {}),
     "sender timeout 0": ("[timers]\nsender_timeout = 0\n", ["run"], {}),
@@ -436,6 +459,15 @@ BAD_INPUTS = {
     "trace scenario propagation bound 4.5": (
         _meta({"n": 3, "horizon": 100,
                "propagation": {"p_reliable": 0.9, "p_timely": 0.6, "bound": 4.5}}) + _FINAL,
+        ["audit"], {}),
+    "trace final leaders not the events' last": (
+        _META + '{"t":"leader","step":9,"proc":0,"old":null,"new":0}\n'
+        '{"t":"leader","step":9,"proc":1,"old":null,"new":0}\n'
+        '{"t":"leader","step":9,"proc":2,"old":null,"new":0}\n'
+        '{"t":"final","leaders":[1,2,null],"crashed":[false,false,false]}\n', ["audit"], {}),
+    "trace scenario p_reliable true": (
+        _meta({"n": 3, "horizon": 100,
+               "propagation": {"p_reliable": True, "p_timely": 0.5, "bound": 4}}) + _FINAL,
         ["audit"], {}),
     "trace final leader 7": (
         _META + '{"t":"final","leaders":[7,null,null],"crashed":[false,false,false]}\n',

@@ -13,7 +13,7 @@ from mpo import netsim
 from mpo import trace as mtrace
 from mpo.channels import Lossy, Timely
 from mpo.core import TimerConfig, collector_paused
-from mpo.netsim import GeneralPropagation, Scenario, ScenarioError, preset_dependable, run
+from mpo.netsim import GeneralPropagation, Scenario, preset_dependable, run
 from mpo.trace import TraceFormatError, read_trace, write_trace
 
 
@@ -91,8 +91,9 @@ def test_the_collector_is_left_as_it_was_found(enabled):
         assert gc.isenabled() is enabled
         read_trace(lines)
         assert gc.isenabled() is enabled
-        with pytest.raises(ScenarioError):
-            run(Scenario(n=1, horizon=100))
+        # a channel model no scheduler knows: raised by the first send, inside the loop
+        with pytest.raises(TypeError, match="unknown channel model"):
+            run(Scenario(n=2, horizon=100, default_channel=object()))
         assert gc.isenabled() is enabled
         with pytest.raises(TraceFormatError, match="truncated"):
             read_trace(lines[:-1])

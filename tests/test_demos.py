@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from mpo.channels import model_from_spec, model_to_spec
+
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ROOT / "demos"
 SLOW = "leader_stability.py"  # about 11 s at its default trial count
@@ -23,9 +25,22 @@ def test_demo_script_runs(name, tmp_path):
     assert proc.stdout.strip()
 
 
-def test_leader_stability_demo_runs_on_fewer_trials(capsys):
-    spec = importlib.util.spec_from_file_location("leader_stability", DEMOS / SLOW)
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(name.removesuffix(".py"), DEMOS / name)
     demo = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(demo)
-    demo.main(trials=300)
+    return demo
+
+
+def test_leader_stability_demo_runs_on_fewer_trials(capsys):
+    _load(SLOW).main(trials=300)
     assert capsys.readouterr().out.strip()
+
+
+def test_channel_demo_labels_are_specs(capsys):
+    _load("channel_adversaries.py").main()
+    rows = [line for line in capsys.readouterr().out.splitlines() if " delivered " in line]
+    assert len(rows) == 6
+    for row in rows:
+        label = row.partition(" delivered ")[0].strip()
+        assert model_to_spec(model_from_spec(label)) == label

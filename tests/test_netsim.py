@@ -21,7 +21,6 @@ from mpo.netsim import (
     preset_dependable,
     run,
     run_reference,
-    validate_scenario,
 )
 
 
@@ -303,15 +302,13 @@ class TestGeneralPropagation:
 class TestScenarioPlumbing:
     def test_validate_rejects_bad_crash(self):
         with pytest.raises(ScenarioError):
-            validate_scenario(Scenario(n=3, horizon=100, seed=1,
-                                       crash_schedule={5: 10}))
+            Scenario(n=3, horizon=100, seed=1, crash_schedule={5: 10})
         with pytest.raises(ScenarioError):
-            validate_scenario(Scenario(n=3, horizon=100, seed=1,
-                                       crash_schedule={1: 101}))
+            Scenario(n=3, horizon=100, seed=1, crash_schedule={1: 101})
 
     def test_validate_rejects_tiny_network(self):
         with pytest.raises(ScenarioError):
-            validate_scenario(Scenario(n=1, horizon=100, seed=1))
+            Scenario(n=1, horizon=100, seed=1)
 
     def test_round_trip_dict(self):
         scn = mixed_scenario()

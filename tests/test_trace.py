@@ -60,7 +60,7 @@ def every_kind() -> Trace:
     ]
     scenario = {"n": 3, "horizon": 10, "timers": {}}
     return Trace(fingerprint_scenario(scenario), scenario, events,
-                 [0, 0, None], [False, False, True])
+                 [None, 0, None], [False, False, True])
 
 
 def test_every_event_kind_serializes():
@@ -110,7 +110,8 @@ KINDS = [message.kind for message in (StartPhase, StopPhase, Alive, Failed)]
 @st.composite
 def traces(draw):
     """A trace of n <= 5 processes whose time-ordered events, of all seven
-    kinds, lie within range; a process is crashed when it has a crash event."""
+    kinds, lie within range; a process is crashed when it has a crash event,
+    and its final leader is the new leader of its last leader change."""
     n = draw(st.integers(1, 5))
     horizon = draw(st.integers(0, 300))
     procs = st.integers(0, n - 1)
@@ -131,9 +132,9 @@ def traces(draw):
     scenario = {"n": n, "horizon": horizon, "labels": draw(st.dictionaries(
         st.text(max_size=4), st.text(max_size=4), max_size=2))}
     crashes = {ev.proc for ev in events if isinstance(ev, Crash)}
+    outputs = {ev.proc: ev.new for ev in events if isinstance(ev, LeaderChange)}
     return Trace(fingerprint_scenario(scenario), scenario, events,
-                 draw(st.lists(leaders, min_size=n, max_size=n)),
-                 [p in crashes for p in range(n)])
+                 [outputs.get(p) for p in range(n)], [p in crashes for p in range(n)])
 
 
 def written(trace: Trace) -> str:
