@@ -79,11 +79,6 @@ class Arborescence:
         default=None, repr=False, compare=False
     )
 
-    def parent(self, node: int, default: int | None = None) -> int | None:
-        if node == self.root:
-            return default
-        return self.parent_of.get(node, default)
-
     def children_of(self, node: int) -> tuple[int, ...]:
         if self._children is None:
             kids: dict[int, list[int]] = {}

@@ -187,6 +187,12 @@ def default_cutoff(trace: Trace, convergence_step: int) -> int:
     return convergence_step + 10 * read_timers(trace.scenario.get("timers", {})).sender_timeout
 
 
+def packet_budget(n: int) -> int:
+    """The most packets a tail message of a packet-efficient run may use: a
+    heartbeat's tree edges plus one full fan-out, 2(n - 1)."""
+    return 2 * (n - 1)
+
+
 def audit_report(trace: Trace, cutoff: int | None = None,
                  window: int | None = None) -> AuditReport:
     """One-stop report: convergence plus the efficiency audits at the cutoff.
@@ -218,5 +224,5 @@ def audit_report(trace: Trace, cutoff: int | None = None,
         channels_used_after_cutoff=summary.channels_after(cutoff),
         timer_growth=timer_growth,
         message_efficient=conv is not None and origins == {conv.leader},
-        packet_efficient=conv is not None and max_packets <= 2 * (trace.n - 1),
+        packet_efficient=conv is not None and max_packets <= packet_budget(trace.n),
     )

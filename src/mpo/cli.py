@@ -18,7 +18,7 @@ import os
 import sys
 
 from . import __version__
-from .audit import audit_report
+from .audit import audit_report, packet_budget
 from .core import ConfigurationError
 from .montecarlo import (
     Mode,
@@ -189,7 +189,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
               f"{sorted(report.origins_after_cutoff)}")
         print(f"max packets per tail message: "
               f"{report.max_packets_per_message_after_cutoff} "
-              f"(linear budget {2 * (args.n - 1)})")
+              f"(linear budget {packet_budget(args.n)})")
         print(f"channels carrying tail traffic: {report.channels_used_after_cutoff} "
               f"of {args.n * (args.n - 1)}")
         if report.timer_growth:

@@ -36,7 +36,8 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass, field
 from heapq import heappop, heappush
-from typing import Any
+from types import MappingProxyType
+from typing import Any, Mapping
 
 from . import trace as tr
 from .channels import (
@@ -108,9 +109,10 @@ class Scenario:
 
     Immutable and checked on construction: a bad field raises ScenarioError
     (or a model's ConfigurationError), so every Scenario that exists is
-    valid.  Override a field with `dataclasses.replace`, which checks the
-    result again; the dict-valued fields are not copied, so do not change
-    them in place.
+    valid.  The mapping fields hold read-only copies of the dicts given, so
+    neither a write into a field nor a later change to a dict passed in
+    reaches a Scenario.  Override a field with `dataclasses.replace`, which
+    checks the result again.
     """
 
     n: int
@@ -118,16 +120,20 @@ class Scenario:
     seed: int = 0
     timers: TimerConfig = field(default_factory=TimerConfig)
     default_channel: ChannelModel = field(default_factory=lambda: Timely(4))
-    channels: dict[tuple[int, int], ChannelModel] = field(default_factory=dict)
-    origin_channels: dict[int, dict[tuple[int, int], ChannelModel]] = field(
+    channels: Mapping[tuple[int, int], ChannelModel] = field(default_factory=dict)
+    origin_channels: Mapping[int, Mapping[tuple[int, int], ChannelModel]] = field(
         default_factory=dict
     )
     adjacency: tuple[frozenset[int], ...] | None = None
-    crash_schedule: dict[int, int] = field(default_factory=dict)
+    crash_schedule: Mapping[int, int] = field(default_factory=dict)
     propagation: GeneralPropagation | None = None
-    labels: dict[str, Any] = field(default_factory=dict)
+    labels: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        for name in ("channels", "crash_schedule", "labels"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
+        object.__setattr__(self, "origin_channels", MappingProxyType(
+            {o: MappingProxyType(dict(pairs)) for o, pairs in self.origin_channels.items()}))
         n = self.n
         if n < 2:
             raise ScenarioError(f"n must be >= 2, got {n}")

@@ -6,12 +6,11 @@ the first line, one event per line, and the final leader outputs on the
 last line.  Each line is canonical JSON.  `EVENT_FORMAT` is the event
 contract: the writer's line templates and the reader's checks are both
 built from it at import, and the reader holds every value to its check
-against the n and horizon of the meta record.  The reader first matches
-each event line against its class's pattern, the writer's template read
-backwards and built from the same table, and parses the line as JSON
-otherwise; both ways apply the same checks, so a file is accepted, or
-rejected with the same message and line number, whichever way its lines
-are read.
+against the n and horizon of the meta record.  The reader reads an
+event line only in the form the writer writes it: it matches each line
+against its class's pattern, the writer's template read backwards and
+built from the same table, and rejects any other line but the final
+record.  The meta and final records are read as JSON objects.
 
 Events, like core's `Packet` and `MessageId`, are immutable typed tuples
 (`NamedTuple`s) that compare equal only within their class: a `Deliver`
@@ -27,7 +26,7 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass
-from operator import attrgetter, getitem, itemgetter
+from operator import attrgetter, getitem
 from typing import Any, Callable, Iterable, NamedTuple, NoReturn, TextIO, get_args
 
 from .core import Message, MessageId, collector_paused, equal_within_class
@@ -215,28 +214,26 @@ def _encoder(template: str, paths: list[str], nullable: bool) -> Callable[[Any],
     return lambda ev: template % values(ev)
 
 
-def _tables() -> tuple[dict, dict, dict, re.Pattern]:
+def _tables() -> tuple[dict, dict, re.Pattern]:
     """The codec's tables.  For the writer, by class: the event's encoder.  For
-    the reader, by tag: (class, getter of the JSON values of "step" and the
-    fields in declaration order, the fields' checks), and (the numbers of the
-    groups that hold the same values in the match of a canonical line); and the
-    canonical lines of all classes as one alternation of their patterns, each
-    followed by an empty group named after its tag, so a match's `lastgroup`
-    is the tag."""
-    encode, decode, groups, branches, first = {}, {}, {}, [], 1
+    the reader, by tag: (class, the numbers of the groups that hold the texts
+    of "step" and the fields in declaration order in the match of its line, the
+    fields' checks); and the lines of all classes as one alternation of their
+    patterns, each followed by an empty group named after its tag, so a match's
+    `lastgroup` is the tag."""
+    encode, decode, branches, first = {}, {}, [], 1
     for cls, (tag, fields) in EVENT_FORMAT.items():
         template, paths, pattern, keys = _layout(tag, fields)
         checks = tuple(check for *_, check in fields)
         order = ("step", *[key for _, key, _ in fields])
         encode[cls] = _encoder(template, paths, _leader in checks)
-        decode[tag] = (cls, itemgetter(*order), checks)
-        groups[tag] = tuple(first + keys.index(key) for key in order)
+        decode[tag] = (cls, tuple(first + keys.index(key) for key in order), checks)
         branches.append(f"{pattern}(?P<{tag}>)")
         first += len(keys) + 1
-    return encode, decode, groups, re.compile("|".join(branches))
+    return encode, decode, re.compile("|".join(branches))
 
 
-_ENCODE, _DECODE, _GROUPS, _LINE = _tables()
+_ENCODE, _DECODE, _LINE = _tables()
 
 
 def write_trace(trace: Trace, fh: TextIO) -> None:
@@ -282,10 +279,11 @@ class _Checked(dict):
 
 @collector_paused()
 def read_trace(lines: Iterable[str]) -> Trace:
-    """Trace from its JSON lines; a TraceFormatError unless every record is
-    well-formed, every value passes its check, only blank lines follow the
-    final record, and that record's `crashed` and `leaders` are what the
-    events leave: true for each crashed process, and each process's last
+    """Trace from its JSON lines; a TraceFormatError unless the meta and final
+    records are JSON objects, every other line but blank ones is an event line
+    as `write_trace` writes it, every value passes its check, only blank lines
+    follow the final record, and that record's `crashed` and `leaders` are what
+    the events leave: true for each crashed process, and each process's last
     `LeaderChange.new` (null for a process with none)."""
     it = iter(lines)
     meta = _record(next(it, ""), 1)
@@ -301,65 +299,38 @@ def read_trace(lines: Iterable[str]) -> Trace:
     except ValueError as exc:
         raise TraceFormatError(f"meta record: scenario n or horizon: {exc}") from None
 
-    ids: dict[tuple[int, int], MessageId] = {}  # every id read so far, once
-
-    def interned_mid(v: Any, n: int) -> MessageId:
-        if type(v) is list and len(v) == 2 and type(v[0]) is int and type(v[1]) is int:
-            mid = ids.get((v[0], v[1]))  # ints only: [true, 0] must not find [1, 0]
-            if mid is not None:
-                return mid
-        mid = _mid(v, n)
-        return ids.setdefault((mid.origin, mid.seq), mid)
-
     def checked(check: Callable[[Any, int], Any], parse: Callable[[str], Any]) -> _Checked:
         return _Checked(lambda text: check(parse(text), n))
 
-    # each check as this file applies it: equal ids are read as one MessageId
-    check_of = {check: check for check in _RENDER} | {_mid: interned_mid}
-    decode = {tag: (cls, values, tuple(check_of[c] for c in checks))
-              for tag, (cls, values, checks) in _DECODE.items()}
-    # A canonical line's fields are looked up by their text, each distinct text
-    # parsed and checked once, and equal step texts give one int object, as in
-    # a simulated trace.  Any other line, or one with a value out of range, is
-    # read as JSON, which reports what is wrong with it.
-    by_text = {c: checked(check_of[c], parse) for c, (*_, parse) in _RENDER.items()}
+    # A field is looked up by its text, each distinct text parsed and checked
+    # once: equal ids give one MessageId, as an id has one text, and equal
+    # steps one int object, as in a simulated trace.
+    by_text = {c: checked(c, parse) for c, (*_, parse) in _RENDER.items()}
     steps = _Checked(int)
-    canonical = {tag: (cls._make, _GROUPS[tag], (steps, *[by_text[c] for c in checks]))
-                 for tag, (cls, _, checks) in _DECODE.items()}
-    canonical_line = _LINE.fullmatch
+    decode = {tag: (cls._make, groups, (steps, *[by_text[c] for c in checks]))
+              for tag, (cls, groups, checks) in _DECODE.items()}
+    event_line = _LINE.fullmatch
     events: list[TraceEvent] = []
     last = 0
     for lineno, line in enumerate(it, start=2):
-        if (m := canonical_line(line)) is not None:
-            make, groups, texts = canonical[m.lastgroup]
-            try:
-                ev = make(map(getitem, texts, m.group(*groups)))
-            except ValueError:
-                pass  # read as JSON below
-            else:
-                if last <= ev.step <= horizon:
-                    events.append(ev)
-                    last = ev.step
-                    continue
-        if not line.strip():
-            continue
-        obj = _record(line, lineno)
-        tag = obj.get("t")
-        if tag == "final":
-            break
-        try:  # a KeyError for a missing field, a ValueError for a bad value
-            if type(tag) is not str or tag not in decode:
-                _bad(tag, "an event type")
-            cls, values, checks = decode[tag]
-            step, *fields = values(obj)
-            if type(step) is not int or not last <= step <= horizon:
-                _bad(step, f"a step in [{last}, {horizon}]")
-            if step == last:
-                step = last  # one int object per step, as in a simulated trace
-            events.append(cls(step, *[check(v, n) for check, v in zip(checks, fields)]))
-        except (KeyError, ValueError) as exc:
+        if (m := event_line(line)) is None:
+            if not line.strip():
+                continue
+            obj = _record(line, lineno)
+            if obj.get("t") == "final":
+                break
+            raise TraceFormatError(f"line {lineno}: not an event line as write_trace"
+                                   f" writes it: {line.rstrip()[:80]!r}")
+        tag = m.lastgroup
+        make, groups, texts = decode[tag]
+        try:  # a ValueError for a bad value
+            ev = make(map(getitem, texts, m.group(*groups)))
+            if not last <= ev.step <= horizon:
+                _bad(ev.step, f"a step in [{last}, {horizon}]")
+        except ValueError as exc:
             raise TraceFormatError(f"line {lineno}: bad {tag!r} event: {exc!r}") from None
-        last = step
+        events.append(ev)
+        last = ev.step
     else:
         raise TraceFormatError("truncated trace: missing final record")
     for extra, line in enumerate(it, start=lineno + 1):
@@ -392,6 +363,7 @@ def read_trace(lines: Iterable[str]) -> Trace:
 
 
 def read_trace_file(path: str) -> Trace:
+    """`read_trace` of a file; text mode reads a `\\r\\n` line ending as `\\n`."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return read_trace(fh)

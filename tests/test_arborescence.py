@@ -132,8 +132,6 @@ def test_children_of():
     assert a.children_of(1) == (0, 2)
     assert a.children_of(2) == (3,)
     assert a.children_of(3) == ()
-    assert a.parent(3) == 2
-    assert a.parent(1, default=7) == 7
 
 
 @settings(max_examples=60, deadline=None)

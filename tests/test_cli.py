@@ -356,6 +356,11 @@ def _meta(scenario: dict) -> str:
                            "scenario": scenario}) + "\n"
 
 
+def _line(record: dict) -> str:
+    """A record's line as write_trace writes it: canonical JSON."""
+    return canonical_json(record) + "\n"
+
+
 _META = _meta({"n": 3, "horizon": 100})
 _FINAL = '{"t":"final","leaders":[null,null,null],"crashed":[false,false,false]}\n'
 
@@ -382,7 +387,8 @@ BAD_INPUTS = {
                           "--trials", "10"], {}),
     "crash step": (None, ["demo", "--n", "3", "--crash", "1@x"], {}),
     "demo horizon 0": (None, ["demo", "--n", "3", "--horizon", "0"], {}),
-    "trace event missing fields": (_META + '{"t":"send","step":1}\n' + _FINAL, ["audit"], {}),
+    "trace event missing fields": (_META + _line({"t": "send", "step": 1}) + _FINAL,
+                                   ["audit"], {}),
     "trace meta without fingerprint": (
         '{"t":"meta","scenario":{"n":3,"horizon":100}}\n' + _FINAL, ["audit"], {}),
     "trace scenario without horizon": (_meta({"n": 3}) + _FINAL, ["audit"], {}),
@@ -397,52 +403,55 @@ BAD_INPUTS = {
     "trace event line a list": (_META + "[1]\n" + _FINAL, ["audit"], {}),
     "trace event line a string": (_META + '"str"\n' + _FINAL, ["audit"], {}),
     "trace event line null": (_META + "null\n" + _FINAL, ["audit"], {}),
+    # values the writer's form cannot hold: the line is not an event line
     "trace step not an int": (
-        _META + '{"t":"send","step":"x","mid":[0,1],"kind":"alive","from":0,"to":1}\n'
-        + _FINAL, ["audit"], {}),
+        _META + _line({"t": "send", "step": "x", "mid": [0, 1], "kind": "alive",
+                       "from": 0, "to": 1}) + _FINAL, ["audit"], {}),
     "trace mid not two ints": (
-        _META + '{"t":"send","step":1,"mid":[[1],2],"kind":"alive","from":0,"to":1}\n'
-        + _FINAL, ["audit"], {}),
-    # values the reader checks against the meta record's n=3 and horizon=100
-    "trace step past the horizon": (_META + '{"t":"crash","step":101,"proc":0}\n' + _FINAL,
-                                    ["audit"], {}),
+        _META + _line({"t": "send", "step": 1, "mid": [[1], 2], "kind": "alive",
+                       "from": 0, "to": 1}) + _FINAL, ["audit"], {}),
     "trace step negative": (
-        _META + '{"t":"send","step":-5,"mid":[0,0],"kind":"alive","from":0,"to":1}\n'
+        _META + _line({"t": "send", "step": -5, "mid": [0, 0], "kind": "alive",
+                       "from": 0, "to": 1}) + _FINAL, ["audit"], {}),
+    "trace phase origin out of range": (
+        _META + _line({"t": "phase", "step": 9, "proc": 0, "origin": -1, "phase": 1})
         + _FINAL, ["audit"], {}),
+    "trace seq negative": (
+        _META + _line({"t": "send", "step": 9, "mid": [0, -1], "kind": "alive",
+                       "from": 0, "to": 1}) + _FINAL, ["audit"], {}),
+    "trace phase negative": (
+        _META + _line({"t": "phase", "step": 9, "proc": 0, "origin": 0, "phase": -2})
+        + _FINAL, ["audit"], {}),
+    "trace unknown kind": (
+        _META + _line({"t": "send", "step": 9, "mid": [0, 0], "kind": "zzz",
+                       "from": 0, "to": 1}) + _FINAL, ["audit"], {}),
+    # values the reader checks against the meta record's n=3 and horizon=100
+    "trace step past the horizon": (_META + _line({"t": "crash", "step": 101, "proc": 0})
+                                    + _FINAL, ["audit"], {}),
     "trace step decreases": (
-        _META + '{"t":"crash","step":5,"proc":0}\n{"t":"crash","step":4,"proc":1}\n'
-        + _FINAL, ["audit"], {}),
+        _META + _line({"t": "crash", "step": 5, "proc": 0})
+        + _line({"t": "crash", "step": 4, "proc": 1}) + _FINAL, ["audit"], {}),
     "trace proc out of range": (
-        _META + '{"t":"leader","step":9,"proc":9,"old":null,"new":1}\n' + _FINAL,
+        _META + _line({"t": "leader", "step": 9, "proc": 9, "old": None, "new": 1}) + _FINAL,
         ["audit"], {}),
     "trace subject out of range": (
-        _META + '{"t":"timer","step":9,"proc":0,"subject":3}\n' + _FINAL, ["audit"], {}),
-    "trace phase origin out of range": (
-        _META + '{"t":"phase","step":9,"proc":0,"origin":-1,"phase":1}\n' + _FINAL,
+        _META + _line({"t": "timer", "step": 9, "proc": 0, "subject": 3}) + _FINAL,
         ["audit"], {}),
     "trace from out of range": (
-        _META + '{"t":"deliver","step":9,"mid":[0,0],"from":3,"to":1}\n' + _FINAL,
-        ["audit"], {}),
+        _META + _line({"t": "deliver", "step": 9, "mid": [0, 0], "from": 3, "to": 1})
+        + _FINAL, ["audit"], {}),
     "trace to out of range": (
-        _META + '{"t":"drop","step":9,"mid":[0,0],"from":0,"to":7}\n' + _FINAL,
+        _META + _line({"t": "drop", "step": 9, "mid": [0, 0], "from": 0, "to": 7}) + _FINAL,
         ["audit"], {}),
     "trace mid origin out of range": (
-        _META + '{"t":"send","step":9,"mid":[3,0],"kind":"alive","from":0,"to":1}\n'
-        + _FINAL, ["audit"], {}),
+        _META + _line({"t": "send", "step": 9, "mid": [3, 0], "kind": "alive",
+                       "from": 0, "to": 1}) + _FINAL, ["audit"], {}),
     "trace old leader out of range": (
-        _META + '{"t":"leader","step":9,"proc":0,"old":5,"new":0}\n' + _FINAL, ["audit"], {}),
+        _META + _line({"t": "leader", "step": 9, "proc": 0, "old": 5, "new": 0}) + _FINAL,
+        ["audit"], {}),
     "trace new leader out of range": (
-        _META + '{"t":"leader","step":9,"proc":0,"old":null,"new":3}\n' + _FINAL,
+        _META + _line({"t": "leader", "step": 9, "proc": 0, "old": None, "new": 3}) + _FINAL,
         ["audit"], {}),
-    "trace seq negative": (
-        _META + '{"t":"send","step":9,"mid":[0,-1],"kind":"alive","from":0,"to":1}\n'
-        + _FINAL, ["audit"], {}),
-    "trace phase negative": (
-        _META + '{"t":"phase","step":9,"proc":0,"origin":0,"phase":-2}\n' + _FINAL,
-        ["audit"], {}),
-    "trace unknown kind": (
-        _META + '{"t":"send","step":9,"mid":[0,0],"kind":"zzz","from":0,"to":1}\n'
-        + _FINAL, ["audit"], {}),
     "trace crashed with no crash event": (
         _META + '{"t":"final","leaders":[null,null,null],"crashed":[false,true,true]}\n',
         ["audit"], {}),
@@ -461,10 +470,9 @@ BAD_INPUTS = {
                "propagation": {"p_reliable": 0.9, "p_timely": 0.6, "bound": 4.5}}) + _FINAL,
         ["audit"], {}),
     "trace final leaders not the events' last": (
-        _META + '{"t":"leader","step":9,"proc":0,"old":null,"new":0}\n'
-        '{"t":"leader","step":9,"proc":1,"old":null,"new":0}\n'
-        '{"t":"leader","step":9,"proc":2,"old":null,"new":0}\n'
-        '{"t":"final","leaders":[1,2,null],"crashed":[false,false,false]}\n', ["audit"], {}),
+        _META + "".join(_line({"t": "leader", "step": 9, "proc": p, "old": None, "new": 0})
+                        for p in range(3))
+        + '{"t":"final","leaders":[1,2,null],"crashed":[false,false,false]}\n', ["audit"], {}),
     "trace scenario p_reliable true": (
         _meta({"n": 3, "horizon": 100,
                "propagation": {"p_reliable": True, "p_timely": 0.5, "bound": 4}}) + _FINAL,
@@ -473,14 +481,14 @@ BAD_INPUTS = {
         _META + '{"t":"final","leaders":[7,null,null],"crashed":[false,false,false]}\n',
         ["audit"], {}),
     "trace event after the final record": (
-        _META + _FINAL + '{"t":"leader","step":99,"proc":1,"old":null,"new":0}\n',
+        _META + _FINAL + _line({"t": "leader", "step": 99, "proc": 1, "old": None, "new": 0}),
         ["audit"], {}),
     "trace garbage after the final record": (
         _META + _FINAL + "garbage not json\n", ["audit"], {}),
     "trace second final record": (_META + _FINAL + "\n" + _FINAL, ["audit"], {}),
     "trace crashed entry 1": (
-        _META + '{"t":"crash","step":5,"proc":0}\n'
-        '{"t":"final","leaders":[null,null,null],"crashed":[1,false,false]}\n',
+        _META + _line({"t": "crash", "step": 5, "proc": 0})
+        + '{"t":"final","leaders":[null,null,null],"crashed":[1,false,false]}\n',
         ["audit"], {}),
     "audit cutoff -5": (_META + _FINAL, ["audit", "--cutoff", "-5"], {}),
     "audit cutoff past the horizon": (_META + _FINAL, ["audit", "--cutoff", "99999999"], {}),
@@ -500,8 +508,29 @@ BAD_INPUTS = {
 }
 
 
-@pytest.mark.parametrize("body, argv, env", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
-def test_bad_input_is_usage_error(tmp_path, capsys, monkeypatch, body, argv, env):
+# row -> what stderr names for the rows of one bad event line: a line not in
+# the writer's form, or a field of one that fails its check
+EVENT_ERRORS = {
+    **dict.fromkeys(["trace event missing fields", "trace step not an int",
+                     "trace mid not two ints", "trace step negative",
+                     "trace phase origin out of range", "trace seq negative",
+                     "trace phase negative", "trace unknown kind"],
+                    "not an event line as write_trace writes it"),
+    "trace step past the horizon": "bad 'crash' event",
+    "trace step decreases": "bad 'crash' event",
+    "trace proc out of range": "bad 'leader' event",
+    "trace subject out of range": "bad 'timer' event",
+    "trace from out of range": "bad 'deliver' event",
+    "trace to out of range": "bad 'drop' event",
+    "trace mid origin out of range": "bad 'send' event",
+    "trace old leader out of range": "bad 'leader' event",
+    "trace new leader out of range": "bad 'leader' event",
+}
+
+
+@pytest.mark.parametrize("name", BAD_INPUTS)
+def test_bad_input_is_usage_error(tmp_path, capsys, monkeypatch, name):
+    body, argv, env = BAD_INPUTS[name]
     for key, value in env.items():
         monkeypatch.setenv(key, value)
     if argv[0] == "run":
@@ -513,4 +542,6 @@ def test_bad_input_is_usage_error(tmp_path, capsys, monkeypatch, body, argv, env
         trace.write_text(body)
         argv = argv + ["--trace", str(trace)]
     assert _exit_code(argv) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert EVENT_ERRORS.get(name, "") in err

@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 
 import pytest
@@ -309,6 +310,23 @@ class TestScenarioPlumbing:
     def test_validate_rejects_tiny_network(self):
         with pytest.raises(ScenarioError):
             Scenario(n=1, horizon=100, seed=1)
+
+    def test_mapping_fields_are_read_only_copies(self):
+        given = {"channels": {(0, 1): Lossy()}, "crash_schedule": {1: 50},
+                 "labels": {"note": "x"}, "origin_channels": {1: {(0, 2): Lossy()}}}
+        scn = Scenario(n=3, horizon=100, **given)
+        fields = {name: getattr(scn, name) for name in given}
+        for mapping in (*fields.values(), scn.origin_channels[1]):
+            with pytest.raises(TypeError):
+                mapping[7] = 50
+        given["channels"][(1, 0)] = Lossy()
+        given["crash_schedule"][1] = 500
+        given["labels"]["note"] = "y"
+        given["origin_channels"][1][(0, 1)] = Lossy()
+        given["origin_channels"][2] = {}
+        assert fields == {"channels": {(0, 1): Lossy()}, "crash_schedule": {1: 50},
+                          "labels": {"note": "x"}, "origin_channels": {1: {(0, 2): Lossy()}}}
+        assert run(scn).events == run(dataclasses.replace(scn)).events
 
     def test_round_trip_dict(self):
         scn = mixed_scenario()
