@@ -9,7 +9,7 @@ designated process, and the steady heartbeat tail.
 """
 
 from mpo import trace as tr
-from mpo.audit import audit_report, summarize
+from mpo.audit import audit_report, packet_budget, summarize
 from mpo.netsim import preset_dependable, run
 
 N, SEED = 6, 2024
@@ -39,7 +39,7 @@ def main():
     print(f"  message origins: {sorted(report.origins_after_cutoff)}")
     print(f"  max packets per message: "
           f"{report.max_packets_per_message_after_cutoff} "
-          f"(budget 2(n-1) = {2 * (N - 1)})")
+          f"(budget 2(n-1) = {packet_budget(N)})")
     print(f"  channels in use: {report.channels_used_after_cutoff} "
           f"of {N * (N - 1)} - the rotating fan-out duty touches them all")
     print(f"  leader-watch timeouts: {sorted(report.timer_growth.values())}")

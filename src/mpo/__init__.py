@@ -2,10 +2,11 @@
 
 Four layers: a pure per-process protocol state machine (`core` +
 `arborescence`), a deterministic adversarial network simulator
-(`channels`, `netsim`, `trace`), trace auditors that turn the protocol's
-correctness and efficiency claims into pass/fail checks (`audit`), and
-random-graph Monte Carlo estimators contrasting single-hop with
-multi-hop leader election (`montecarlo`).
+(`channels`, `scenario_io`, `netsim`, `trace`), trace auditors that turn
+the protocol's correctness and efficiency claims into pass/fail checks
+(`audit`), and random-graph Monte Carlo estimators contrasting
+single-hop with multi-hop leader election (`montecarlo`).  A `Scenario`
+and its text forms live in `scenario_io`, and every `Trace` holds one.
 """
 
 from .arborescence import (
@@ -54,14 +55,8 @@ from .montecarlo import (
     mc_stability,
     stability_sweep,
 )
-from .netsim import (
-    GeneralPropagation,
-    Scenario,
-    ScenarioError,
-    preset_dependable,
-    run,
-    run_reference,
-)
+from .netsim import preset_dependable, run, run_reference
+from .scenario_io import GeneralPropagation, Scenario, ScenarioError
 from .trace import Trace, read_trace_file, write_trace_file
 
 __version__ = "0.1.0"

@@ -5,17 +5,18 @@ resulting TraceSummary.  "All but finitely many" claims about infinite
 runs are checked in their standard finite form: pick a cutoff, inspect
 everything after it within the horizon.  The default cutoff is
 convergence_step + 10 * sender_timeout, and convergence itself requires
-a stability window (default: the final 20% of the horizon) so transient
-agreement is not accepted.
+a stability window (default: `TraceSummary.final_window`, the final 20%
+of the horizon) so transient agreement is not accepted.  Besides the
+events, an audit reads only the trace's `Scenario`: n, the horizon and
+the timers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
 from .core import ConfigurationError, MessageId, TimerConfig
-from .netsim import read_timers
 from .trace import LeaderChange, Send, TimerFired, Trace
 
 
@@ -39,18 +40,9 @@ class AuditReport:
     packet_efficient: bool = False
 
     def to_json_obj(self) -> dict[str, Any]:
-        return {
-            "converged": self.converged,
-            "leader": self.leader,
-            "convergence_step": self.convergence_step,
-            "cutoff": self.cutoff,
+        return asdict(self) | {
             "origins_after_cutoff": sorted(self.origins_after_cutoff),
-            "max_packets_per_message_after_cutoff":
-                self.max_packets_per_message_after_cutoff,
-            "channels_used_after_cutoff": self.channels_used_after_cutoff,
             "timer_growth": {str(p): t for p, t in sorted(self.timer_growth.items())},
-            "message_efficient": self.message_efficient,
-            "packet_efficient": self.packet_efficient,
         }
 
 
@@ -83,12 +75,18 @@ class TraceSummary:
     # subject -> step of its last receive-timer firing
     last_receive_fire: dict[int, int]
 
+    @property
+    def final_window(self) -> int:
+        """The final 20% of the horizon, at least one step: the default
+        stability window of `convergence` and the quiet window of `timer_bound`."""
+        return max(1, self.horizon // 5)
+
     def convergence(self, window: int | None = None) -> Convergence | None:
         """Earliest step from which every correct process outputs one fixed
         correct leader through the horizon, provided at least `window` steps
         of that stability are observed; None otherwise."""
         if window is None:
-            window = max(1, self.horizon // 5)
+            window = self.final_window
         finals = [self.outputs.get(p, (None, 0)) for p in self.correct]
         leaders = {leader for leader, _ in finals}
         if len(leaders) != 1:
@@ -138,7 +136,7 @@ class TraceSummary:
             for p in self.correct
             if p != leader
         }
-        quiet_from = self.horizon - max(1, self.horizon // 5)
+        quiet_from = self.horizon - self.final_window
         last_fire = self.last_receive_fire.get(leader)
         stabilized = last_fire is None or last_fire <= quiet_from
         return TimerBoundReport(final_timeouts=finals, stabilized=stabilized)
@@ -169,7 +167,7 @@ def summarize(trace: Trace) -> TraceSummary:
     return TraceSummary(
         horizon=trace.horizon,
         correct=trace.correct_processes(),
-        timers=read_timers(trace.scenario.get("timers", {})),
+        timers=trace.scenario.timers,
         outputs=outputs,
         messages=messages,
         last_send=last_send,
@@ -184,7 +182,7 @@ def audit_timer_bound(trace: Trace, leader: int) -> TimerBoundReport:
 
 
 def default_cutoff(trace: Trace, convergence_step: int) -> int:
-    return convergence_step + 10 * read_timers(trace.scenario.get("timers", {})).sender_timeout
+    return convergence_step + 10 * trace.scenario.timers.sender_timeout
 
 
 def packet_budget(n: int) -> int:

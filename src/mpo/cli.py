@@ -4,7 +4,8 @@ Exit status contract: 0 on success (for `audit`/`demo`: the trace is
 converged, message efficient, and packet efficient), 1 when an audit
 fails, 2 on usage or input errors.  Argparse checks the syntax of argv;
 the library code that uses a value checks it and raises a typed error;
-`main` alone turns such an error into `error: ...` and exit 2.
+`main` alone turns such an error, or running out of memory, into
+`error: ...` and exit 2.
 """
 
 from __future__ import annotations
@@ -29,15 +30,9 @@ from .montecarlo import (
     mc_stability,
     stability_sweep,
 )
-from .netsim import Scenario, ScenarioError, preset_dependable, run
-from .scenario_io import dump_scenario_file, parse_scenario_file
-from .trace import (
-    LeaderChange,
-    TraceFormatError,
-    canonical_json,
-    read_trace_file,
-    write_trace_file,
-)
+from .netsim import preset_dependable, run
+from .scenario_io import ScenarioError, canonical_json, dump_scenario_file, parse_scenario_file
+from .trace import LeaderChange, TraceFormatError, read_trace_file, write_trace_file
 
 EXIT_OK = 0
 EXIT_AUDIT_FAIL = 1
@@ -78,13 +73,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     trace = run(scn)
     write_trace_file(trace, args.out)
     print(f"wrote {len(trace.events)} events to {args.out} "
-          f"(fingerprint {trace.fingerprint})")
+          f"(fingerprint {scn.fingerprint()})")
     return EXIT_OK
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
     trace = read_trace_file(args.trace)
-    Scenario.from_dict(trace.scenario)  # a bad meta scenario is an input error
     report = audit_report(trace, cutoff=args.cutoff, window=args.window)
     payload = json.dumps(report.to_json_obj(), indent=2, sort_keys=True)
     if args.report:
@@ -279,6 +273,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK
     except (ConfigurationError, ScenarioError, TraceFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # a size too large for this machine, not a failed audit
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -1,8 +1,9 @@
 """Deterministic discrete-event simulator for the leader election protocol.
 
 A Scenario fully determines a run: topology, per-channel behavior
-models, crash schedule, timer constants, seed, and horizon.  `run`
-executes it and returns a Trace.  Step semantics, in order, within each
+models, crash schedule, timer constants, seed, and horizon; it lives in
+`scenario_io`, and is imported here too.  `run` executes it and returns
+a Trace that holds it.  Step semantics, in order, within each
 global step: (1) scheduled crashes land, (2) every packet due this step
 is delivered (crashed recipients consume silently), (3) timers advance
 by one step and the ones that hit their timeout are dispatched in
@@ -34,10 +35,8 @@ nothing observable changes.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, field
 from heapq import heappop, heappush
-from types import MappingProxyType
-from typing import Any, Mapping
+from typing import Any
 
 from . import trace as tr
 from .channels import (
@@ -49,16 +48,10 @@ from .channels import (
     FairLossy,
     Lossy,
     StronglyNonTimely,
-    Timely,
-    model_from_spec,
-    model_to_spec,
-    read_float,
-    read_int,
     schedule_delivery,
     suppression_windows,
 )
 from .core import (
-    ConfigurationError,
     Failed,
     MessageId,
     MpoState,
@@ -71,204 +64,8 @@ from .core import (
     on_receiver_timeout,
     on_sender_timeout,
 )
+from .scenario_io import GeneralPropagation, Scenario, ScenarioError
 from .trace import Crash, Deliver, Drop, LeaderChange, PhaseChange, Send, TimerFired
-
-
-class ScenarioError(ValueError):
-    """Scenario fails validation."""
-
-
-@dataclass(frozen=True)
-class GeneralPropagation:
-    """Per-message propagation sampling: no channel has standing properties.
-
-    Each message gets a reliable edge set R (each directed edge present
-    with probability p_reliable) and a timely subset T (each R edge also
-    timely with probability p_timely).  Packets over edges outside R are
-    dropped; T edges deliver within `bound` steps; R-only edges deliver
-    late, in (bound, 4*bound].  The probabilities are kept as floats, so
-    GeneralPropagation(1, 0) and its dict form are one model.
-    """
-
-    p_reliable: float
-    p_timely: float
-    bound: int = 4
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.p_reliable <= 1 and 0 <= self.p_timely <= 1):
-            raise ConfigurationError("p_reliable and p_timely must lie in [0, 1]")
-        if self.bound < 1:
-            raise ConfigurationError(f"bound must be >= 1, got {self.bound}")
-        object.__setattr__(self, "p_reliable", float(self.p_reliable))
-        object.__setattr__(self, "p_timely", float(self.p_timely))
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """Complete description of one simulation run.
-
-    Immutable and checked on construction: a bad field raises ScenarioError
-    (or a model's ConfigurationError), so every Scenario that exists is
-    valid.  The mapping fields hold read-only copies of the dicts given, so
-    neither a write into a field nor a later change to a dict passed in
-    reaches a Scenario.  Override a field with `dataclasses.replace`, which
-    checks the result again.
-    """
-
-    n: int
-    horizon: int
-    seed: int = 0
-    timers: TimerConfig = field(default_factory=TimerConfig)
-    default_channel: ChannelModel = field(default_factory=lambda: Timely(4))
-    channels: Mapping[tuple[int, int], ChannelModel] = field(default_factory=dict)
-    origin_channels: Mapping[int, Mapping[tuple[int, int], ChannelModel]] = field(
-        default_factory=dict
-    )
-    adjacency: tuple[frozenset[int], ...] | None = None
-    crash_schedule: Mapping[int, int] = field(default_factory=dict)
-    propagation: GeneralPropagation | None = None
-    labels: Mapping[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        for name in ("channels", "crash_schedule", "labels"):
-            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
-        object.__setattr__(self, "origin_channels", MappingProxyType(
-            {o: MappingProxyType(dict(pairs)) for o, pairs in self.origin_channels.items()}))
-        n = self.n
-        if n < 2:
-            raise ScenarioError(f"n must be >= 2, got {n}")
-        if self.horizon < 1:
-            raise ScenarioError("horizon must be positive")
-        _check_pairs("channels", self.channels, n)
-        for origin, pairs in self.origin_channels.items():
-            if not 0 <= origin < n:
-                raise ScenarioError(f"origin_channels: unknown origin {origin}")
-            _check_pairs(f"origin_channels {origin}", pairs, n)
-        for p, step in self.crash_schedule.items():
-            if not 0 <= p < n:
-                raise ScenarioError(f"crash of unknown process {p}")
-            if not 1 <= step <= self.horizon:
-                raise ScenarioError(f"crash step {step} outside [1, horizon]")
-        if self.adjacency is not None:
-            if len(self.adjacency) != n:
-                raise ScenarioError(
-                    f"adjacency: the topology needs one out-neighbor list per process,"
-                    f" got {len(self.adjacency)} for n={n}"
-                )
-            for p, neighbors in enumerate(self.adjacency):
-                bad = sorted(q for q in neighbors if not 0 <= q < n)
-                if bad:
-                    raise ScenarioError(f"adjacency: process {p} lists unknown process {bad[0]}")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {key: write(getattr(self, attr)) for key, (attr, write, _) in _DICT_FORM.items()}
-
-    @classmethod
-    def from_dict(cls, obj: dict[str, Any]) -> "Scenario":
-        """Inverse of `to_dict`; the one way text or JSON becomes a Scenario.
-
-        Values may be numbers or strings (a config file's form).  An
-        omitted key keeps the field default; a bad value raises
-        ScenarioError naming its key.
-        """
-        for key in ("n", "horizon"):
-            if key not in obj:
-                raise ScenarioError(f"missing required key {key!r}")
-        kwargs = {}
-        for key, value in obj.items():
-            if key not in _DICT_FORM:
-                raise ScenarioError(f"unknown key {key!r}")
-            attr, _, read = _DICT_FORM[key]
-            try:
-                kwargs[attr] = read(value)
-            except (ValueError, TypeError, AttributeError) as exc:
-                raise ScenarioError(f"{key}: {exc}") from None
-        return cls(**kwargs)
-
-    def fingerprint(self) -> str:
-        return tr.fingerprint_scenario(self.to_dict())
-
-
-def _check_pairs(where: str, pairs, n: int) -> None:
-    for (u, v) in pairs:
-        if not (0 <= u < n and 0 <= v < n) or u == v:
-            raise ScenarioError(f"{where}: bad channel pair ({u}, {v})")
-
-
-def _entries(d: dict, key_fn, value_fn) -> dict:
-    out = {}
-    for k, v in d.items():
-        try:
-            out[key_fn(k)] = value_fn(v)
-        except (ValueError, TypeError, AttributeError) as exc:
-            raise ValueError(f"key {k!r}: {exc}") from None
-    return out
-
-
-def _pair(key: str) -> tuple[int, int]:
-    u, arrow, v = key.partition("->")
-    if not arrow:
-        raise ValueError("expected 'U->V'")
-    return read_int(u), read_int(v)
-
-
-def _read_pairs(d: dict[str, str]) -> dict[tuple[int, int], ChannelModel]:
-    return _entries(d, _pair, model_from_spec)
-
-
-def _write_pairs(d: dict[tuple[int, int], ChannelModel]) -> dict[str, str]:
-    return {f"{u}->{v}": model_to_spec(m) for (u, v), m in sorted(d.items())}
-
-
-def _optional(convert):
-    """`convert`, with None kept as None."""
-    return lambda value: None if value is None else convert(value)
-
-
-def _same(value):
-    return value
-
-
-def read_timers(d: dict[str, Any]) -> TimerConfig:
-    """The `timers` value of the dict form; a key left out keeps its default."""
-    return TimerConfig(**{k: read_int(v) for k, v in d.items()})
-
-
-def _read_propagation(d: dict[str, Any]) -> GeneralPropagation:
-    return GeneralPropagation(
-        **{k: read_int(v) if k == "bound" else read_float(v) for k, v in d.items()}
-    )
-
-
-# The dict form, written by `to_dict` and read by `from_dict`: dict key ->
-# (Scenario field, writer of the field's value, reader of its JSON or
-# config-file value).
-_DICT_FORM = {
-    "n": ("n", _same, read_int),
-    "horizon": ("horizon", _same, read_int),
-    "seed": ("seed", _same, read_int),
-    "timers": ("timers", asdict, read_timers),
-    "default_channel": ("default_channel", model_to_spec, model_from_spec),
-    "channels": ("channels", _write_pairs, _read_pairs),
-    "origin_channels": (
-        "origin_channels",
-        lambda d: {str(o): _write_pairs(pairs) for o, pairs in sorted(d.items())},
-        lambda d: _entries(d, read_int, _read_pairs),
-    ),
-    "adjacency": (
-        "adjacency",
-        _optional(lambda a: [sorted(s) for s in a]),
-        _optional(lambda a: tuple(frozenset(map(read_int, s)) for s in a)),
-    ),
-    "crashes": (
-        "crash_schedule",
-        lambda d: {str(p): s for p, s in sorted(d.items())},
-        lambda d: _entries(d, read_int, read_int),
-    ),
-    "propagation": ("propagation", _optional(asdict), _optional(_read_propagation)),
-    # stringified so a config-file round trip keeps the fingerprint
-    "labels": ("labels", lambda d: {str(k): str(v) for k, v in sorted(d.items())}, dict),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -524,8 +321,7 @@ class _Engine:
 
     def _finish(self) -> tr.Trace:
         return tr.Trace(
-            fingerprint=self.scn.fingerprint(),
-            scenario=self.scn.to_dict(),
+            scenario=self.scn,
             events=self.events,
             final_leaders=[s.leader for s in self.states],
             crashed=list(self.crashed),

@@ -1,13 +1,15 @@
 """Append-only run records and their JSON-lines file format.
 
 A Trace is the sole input to every auditor, so it carries enough to be
-self-describing: the scenario (as a plain dict) and its fingerprint on
-the first line, one event per line, and the final leader outputs on the
-last line.  Each line is canonical JSON.  `EVENT_FORMAT` is the event
+self-describing: its `Scenario`, written on the first line as the dict
+form with its fingerprint, one event per line, and the final leader
+outputs on the last line.  Each line is canonical JSON.  `read_trace`
+reads the meta record's scenario only through `Scenario.from_dict`, so
+every Trace holds a checked Scenario.  `EVENT_FORMAT` is the event
 contract: the writer's line templates and the reader's checks are both
 built from it at import, and the reader holds every value to its check
-against the n and horizon of the meta record.  The reader reads an
-event line only in the form the writer writes it: it matches each line
+against the n and horizon of the scenario.  The reader reads an event
+line only in the form the writer writes it: it matches each line
 against its class's pattern, the writer's template read backwards and
 built from the same table, and rejects any other line but the final
 record.  The meta and final records are read as JSON objects.
@@ -22,7 +24,6 @@ reference cycles, and nothing observable changes.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 from dataclasses import dataclass
@@ -30,6 +31,7 @@ from operator import attrgetter, getitem
 from typing import Any, Callable, Iterable, NamedTuple, NoReturn, TextIO, get_args
 
 from .core import Message, MessageId, collector_paused, equal_within_class
+from .scenario_io import Scenario, ScenarioError, canonical_json, fingerprint_scenario
 
 
 class TraceFormatError(ValueError):
@@ -97,32 +99,21 @@ TraceEvent = Send | Deliver | Drop | TimerFired | LeaderChange | Crash | PhaseCh
 class Trace:
     """Full record of one run."""
 
-    fingerprint: str
-    scenario: dict[str, Any]
+    scenario: Scenario
     events: list[TraceEvent]
     final_leaders: list[int | None]
     crashed: list[bool]
 
     @property
     def n(self) -> int:
-        return int(self.scenario["n"])
+        return self.scenario.n
 
     @property
     def horizon(self) -> int:
-        return int(self.scenario["horizon"])
+        return self.scenario.horizon
 
     def correct_processes(self) -> list[int]:
         return [p for p in range(self.n) if not self.crashed[p]]
-
-
-# the one JSON form of trace lines, scenario fingerprints and configuration
-# hashes: keys sorted, no spaces, and a MessageId, being a tuple, written as
-# [origin, seq]; the event line templates below write the same bytes
-canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-
-
-def fingerprint_scenario(scenario: dict[str, Any]) -> str:
-    return hashlib.sha256(canonical_json(scenario).encode()).hexdigest()[:16]
 
 
 # A check takes a field's JSON value and the trace's n, and returns the
@@ -239,8 +230,9 @@ _ENCODE, _DECODE, _LINE = _tables()
 def write_trace(trace: Trace, fh: TextIO) -> None:
     """Write `trace` as JSON lines; `fh` needs only a `write` method."""
     write = fh.write
-    write(canonical_json({"t": "meta", "fingerprint": trace.fingerprint,
-                          "scenario": trace.scenario}) + "\n")
+    scenario = trace.scenario.to_dict()
+    write(canonical_json({"t": "meta", "fingerprint": fingerprint_scenario(scenario),
+                          "scenario": scenario}) + "\n")
     for ev in trace.events:
         write(_ENCODE[type(ev)](ev))
     write(canonical_json({"t": "final", "leaders": trace.final_leaders,
@@ -295,9 +287,10 @@ def read_trace(lines: Iterable[str]) -> Trace:
         raise TraceFormatError(f"meta record: fingerprint {fp!r} is not the"
                                f" scenario's, {want!r}")
     try:
-        n, horizon = _count(scenario.get("n")), _count(scenario.get("horizon"))
-    except ValueError as exc:
-        raise TraceFormatError(f"meta record: scenario n or horizon: {exc}") from None
+        scenario = Scenario.from_dict(scenario)
+    except ScenarioError as exc:
+        raise TraceFormatError(f"meta record: scenario: {exc}") from None
+    n, horizon = scenario.n, scenario.horizon
 
     def checked(check: Callable[[Any, int], Any], parse: Callable[[str], Any]) -> _Checked:
         return _Checked(lambda text: check(parse(text), n))
@@ -359,7 +352,7 @@ def read_trace(lines: Iterable[str]) -> Trace:
             raise TraceFormatError(
                 f"final record: leaders[{p}] is {leader}, but the events leave process"
                 f" {p} on leader {output} (null: no leader change)")
-    return Trace(fp, scenario, events, leaders, crashed)
+    return Trace(scenario, events, leaders, crashed)
 
 
 def read_trace_file(path: str) -> Trace:

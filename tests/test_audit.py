@@ -32,35 +32,35 @@ class TestConvergence:
         assert conv.step < 1_000
 
     def test_synthetic_stable_run(self):
-        scenario = preset_dependable(3, seed=0, horizon=10_000).to_dict()
+        scenario = preset_dependable(3, seed=0, horizon=10_000)
         events = [
             tr.LeaderChange(100, p, None, 2) for p in range(3)
         ]
-        t = tr.Trace("x", scenario, events, [2, 2, 2], [False] * 3)
+        t = tr.Trace(scenario, events, [2, 2, 2], [False] * 3)
         conv = summarize(t).convergence()
         assert conv == type(conv)(leader=2, step=100)
 
     def test_oscillation_never_converges(self):
-        scenario = preset_dependable(3, seed=0, horizon=10_000).to_dict()
+        scenario = preset_dependable(3, seed=0, horizon=10_000)
         events = []
         for step in range(100, 10_000, 100):
             events.append(tr.LeaderChange(step, 0, 1, 2))
             events.append(tr.LeaderChange(step + 50, 0, 2, 1))
-        t = tr.Trace("x", scenario, events, [1, 1, 1], [False] * 3)
+        t = tr.Trace(scenario, events, [1, 1, 1], [False] * 3)
         assert summarize(t).convergence() is None
 
     def test_agreement_on_crashed_process_rejected(self):
-        scenario = preset_dependable(3, seed=0, horizon=10_000).to_dict()
+        scenario = preset_dependable(3, seed=0, horizon=10_000)
         events = [tr.Crash(50, 2)] + [
             tr.LeaderChange(100, p, None, 2) for p in (0, 1)
         ]
-        t = tr.Trace("x", scenario, events, [2, 2, None], [False, False, True])
+        t = tr.Trace(scenario, events, [2, 2, None], [False, False, True])
         assert summarize(t).convergence() is None
 
     def test_stability_window_enforced(self):
-        scenario = preset_dependable(3, seed=0, horizon=1_000).to_dict()
+        scenario = preset_dependable(3, seed=0, horizon=1_000)
         events = [tr.LeaderChange(950, p, None, 1) for p in range(3)]
-        t = tr.Trace("x", scenario, events, [1, 1, 1], [False] * 3)
+        t = tr.Trace(scenario, events, [1, 1, 1], [False] * 3)
         assert summarize(t).convergence() is None  # only 50 stable steps < 200
         assert summarize(t).convergence(window=10) is not None
 
@@ -106,7 +106,7 @@ class TestChannelUsage:
 
     def test_short_tail_at_least_tree(self, converged_trace, converged):
         n = converged_trace.n
-        to = int(converged_trace.scenario["timers"]["sender_timeout"])
+        to = converged_trace.scenario.timers.sender_timeout
         cutoff = converged_trace.horizon - 2 * to
         assert converged.channels_after(cutoff) >= n - 1
 
@@ -134,8 +134,8 @@ class TestSummaryViews:
              for kind, origin, seq, hops in sends for step, src, dst in hops),
             key=lambda ev: ev.step,
         )
-        scenario = preset_dependable(4, seed=0, horizon=100).to_dict()
-        summary = summarize(tr.Trace("x", scenario, events, [0] * 4, [False] * 4))
+        scenario = preset_dependable(4, seed=0, horizon=100)
+        summary = summarize(tr.Trace(scenario, events, [0] * 4, [False] * 4))
         assert summary.origins_after(10) == {0, 2}
         assert summary.packets_after(10) == {"alive": 3, "failed": 2}
         assert summary.channels_after(10) == len({(0, 1), (0, 2), (1, 2), (1, 3),
@@ -145,7 +145,7 @@ class TestSummaryViews:
 class TestTimerBound:
     def test_generous_initial_never_grows(self, converged_trace):
         rep = audit_timer_bound(converged_trace, 0)
-        initial = int(converged_trace.scenario["timers"]["initial_receiver_timeout"])
+        initial = converged_trace.scenario.timers.initial_receiver_timeout
         assert rep.stabilized
         assert all(v == initial for v in rep.final_timeouts.values())
 
@@ -251,13 +251,17 @@ class TestReport:
         assert rep.timer_growth == summarize(trace).timer_bound(0).final_timeouts
         assert sorted(rep.timer_growth) == [1, 2, 3]
 
-    def test_minimal_meta_scenario_takes_the_default_timers(self):
-        # a trace's meta scenario may leave out every key but n and horizon
+    def test_minimal_meta_scenario_takes_the_default_timers(self, tmp_path):
+        # a trace file's meta scenario may leave out every key but n and horizon
         scenario = {"n": 3, "horizon": 1_000}
-        events = [tr.LeaderChange(1, p, None, 0) for p in range(3)]
-        trace = tr.Trace(tr.fingerprint_scenario(scenario), scenario, events,
-                         [0, 0, 0], [False, False, False])
-        rep = audit_report(trace)
+        lines = [{"t": "meta", "fingerprint": tr.fingerprint_scenario(scenario),
+                  "scenario": scenario},
+                 *({"t": "leader", "step": 1, "proc": p, "old": None, "new": 0}
+                   for p in range(3)),
+                 {"t": "final", "leaders": [0, 0, 0], "crashed": [False] * 3}]
+        path = tmp_path / "minimal.jsonl"
+        path.write_text("".join(tr.canonical_json(line) + "\n" for line in lines))
+        rep = audit_report(tr.read_trace_file(str(path)))
         timers = TimerConfig()
         assert rep.converged and rep.leader == 0
         assert rep.cutoff == 1 + 10 * timers.sender_timeout

@@ -26,7 +26,7 @@ from mpo.scenario_io import (
     parse_scenario,
     parse_scenario_file,
 )
-from mpo.trace import canonical_json, fingerprint_scenario
+from mpo.trace import canonical_json, fingerprint_scenario, read_trace, write_trace
 
 
 GOOD_CONFIG = """
@@ -69,6 +69,7 @@ class TestScenarioIO:
         path = tmp_path / "scn.cfg"
         dump_scenario_file(scn, str(path))
         again = parse_scenario_file(str(path))
+        assert again == scn
         assert again.fingerprint() == scn.fingerprint()
         assert run(again).events == run(scn).events
 
@@ -169,7 +170,15 @@ def test_ini_and_dict_forms_round_trip(scn):
     out = io.StringIO()
     dump_scenario(scn, out)
     parsed = parse_scenario(io.StringIO(out.getvalue()))
-    assert parsed.to_dict() == scn.to_dict() == Scenario.from_dict(scn.to_dict()).to_dict()
+    assert parsed == scn == Scenario.from_dict(scn.to_dict())
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_scenarios())
+def test_a_trace_reads_back_its_scenario(scn):
+    out = io.StringIO()
+    write_trace(run(scn), out)
+    assert read_trace(io.StringIO(out.getvalue())).scenario == scn
 
 
 class TestCliRun:
@@ -342,6 +351,18 @@ class TestCliSweepAndDemo:
         rc = main(["demo", "--n", "3", "--horizon", "5000"])
         assert rc == 0
         assert "seed=77" in capsys.readouterr().out
+
+
+def test_out_of_memory_is_usage_error(capsys, monkeypatch):
+    # a stand-in for numpy's ArrayMemoryError; never allocate for real, as an
+    # overcommitting machine may grant the memory and then kill the process
+    def no_memory(*_args):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+    monkeypatch.setattr("mpo.cli.mc_single_hop", no_memory)
+    rc = main(["mc", "--mode", "existence", "--n", "100000", "--p", "0.5", "--trials", "1"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: out of memory: Unable to allocate")
 
 
 def _exit_code(argv: list[str]) -> int:

@@ -311,6 +311,12 @@ class TestScenarioPlumbing:
         with pytest.raises(ScenarioError):
             Scenario(n=1, horizon=100, seed=1)
 
+    @pytest.mark.parametrize("scn", [preset_dependable(4, 1), preset_dependable(
+        5, seed=2, crash_victims=(0,), crash_steps=(5_000,))], ids=["preset", "backup"])
+    def test_a_preset_equals_itself_read_back(self, scn):
+        assert Scenario.from_dict(scn.to_dict()) == scn
+        assert dict(scn.labels) == scn.to_dict()["labels"]
+
     def test_mapping_fields_are_read_only_copies(self):
         given = {"channels": {(0, 1): Lossy()}, "crash_schedule": {1: 50},
                  "labels": {"note": "x"}, "origin_channels": {1: {(0, 2): Lossy()}}}
@@ -343,7 +349,7 @@ class TestScenarioPlumbing:
     def test_preset_leader_crash_wires_backup_and_reelects(self):
         scn = preset_dependable(5, seed=2, horizon=30_000,
                                 crash_victims=(0,), crash_steps=(5_000,))
-        assert scn.labels["backup"] == 1
+        assert scn.labels["backup"] == "1"
         t = run(scn)
         assert t.final_leaders[1:] == [1] * 4
         post = [ev for ev in t.events

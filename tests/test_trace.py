@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import io
 import json
 import re
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from mpo import trace as mtrace
 from mpo.core import Alive, Failed, MessageId, Packet, StartPhase, StopPhase
-from mpo.netsim import preset_dependable, run
+from mpo.netsim import Scenario, preset_dependable, run
 from mpo.trace import (
     EVENT_FORMAT,
     Crash,
@@ -43,8 +44,9 @@ def test_round_trip_preserves_everything():
     assert again.events == trace.events
     assert again.final_leaders == trace.final_leaders
     assert again.crashed == trace.crashed
-    assert again.fingerprint == trace.fingerprint
     assert again.scenario == trace.scenario
+    assert [f.name for f in dataclasses.fields(again)] == [
+        "scenario", "events", "final_leaders", "crashed"]
 
 
 def every_kind() -> Trace:
@@ -59,9 +61,7 @@ def every_kind() -> Trace:
         PhaseChange(3, 1, 0, 4),
         Crash(4, 2),
     ]
-    scenario = {"n": 3, "horizon": 10, "timers": {}}
-    return Trace(fingerprint_scenario(scenario), scenario, events,
-                 [None, 0, None], [False, False, True])
+    return Trace(Scenario(n=3, horizon=10), events, [None, 0, None], [False, False, True])
 
 
 def test_every_event_kind_serializes():
@@ -113,8 +113,8 @@ def traces(draw):
     """A trace of n <= 5 processes whose time-ordered events, of all seven
     kinds, lie within range; a process is crashed when it has a crash event,
     and its final leader is the new leader of its last leader change."""
-    n = draw(st.integers(1, 5))
-    horizon = draw(st.integers(0, 300))
+    n = draw(st.integers(2, 5))  # the least n and horizon a Scenario takes
+    horizon = draw(st.integers(1, 300))
     procs = st.integers(0, n - 1)
     leaders = st.none() | procs
     counts = st.integers(0, 10**6)
@@ -130,11 +130,11 @@ def traces(draw):
     ]
     steps = sorted(draw(st.lists(st.integers(0, horizon), max_size=20)))
     events = [draw(draw(st.sampled_from(kinds))(step)) for step in steps]
-    scenario = {"n": n, "horizon": horizon, "labels": draw(st.dictionaries(
-        st.text(max_size=4), st.text(max_size=4), max_size=2))}
+    scenario = Scenario(n=n, horizon=horizon, labels=draw(st.dictionaries(
+        st.text(max_size=4), st.text(max_size=4), max_size=2)))
     crashes = {ev.proc for ev in events if isinstance(ev, Crash)}
     outputs = {ev.proc: ev.new for ev in events if isinstance(ev, LeaderChange)}
-    return Trace(fingerprint_scenario(scenario), scenario, events,
+    return Trace(scenario, events,
                  [outputs.get(p) for p in range(n)], [p in crashes for p in range(n)])
 
 
@@ -152,7 +152,7 @@ def test_codec_round_trips(trace):
     assert again.events == trace.events
     assert again.final_leaders == trace.final_leaders
     assert again.crashed == trace.crashed
-    assert (again.fingerprint, again.scenario) == (trace.fingerprint, trace.scenario)
+    assert again.scenario == trace.scenario
     assert written(again) == text
 
 
@@ -217,10 +217,14 @@ def test_event_lines_are_canonical_json(trace):
     assert lines[1:-1] == [generic_line(ev) for ev in trace.events]
 
 
+def meta_line(scenario: dict) -> str:
+    """The meta record of `scenario`, a dict, with its fingerprint."""
+    return canonical_json({"t": "meta", "fingerprint": fingerprint_scenario(scenario),
+                           "scenario": scenario}) + "\n"
+
+
 def test_bool_id_does_not_alias_an_int_id():
-    scenario = {"n": 2, "horizon": 10}
-    lines = [canonical_json({"t": "meta", "fingerprint": fingerprint_scenario(scenario),
-                             "scenario": scenario}) + "\n",
+    lines = [meta_line({"n": 2, "horizon": 10}),
              '{"from":0,"mid":[1,0],"step":1,"t":"deliver","to":1}\n',
              '{"from":0,"mid":[true,0],"step":2,"t":"deliver","to":1}\n',
              '{"crashed":[false,false],"leaders":[null,null],"t":"final"}\n']
@@ -228,11 +232,20 @@ def test_bool_id_does_not_alias_an_int_id():
         read_trace(lines)
 
 
+# meta scenarios whose fingerprint matches, but that no Scenario has
+@pytest.mark.parametrize("bad", [{"timers": "abc"}, {"n": 1}, {"horizon": 0}, {"seed": "x"}],
+                         ids=lambda bad: "%s=%r" % next(iter(bad.items())))
+def test_a_meta_scenario_must_read_as_a_scenario(bad):
+    lines = [meta_line({"n": 3, "horizon": 100, **bad}),
+             '{"crashed":[false,false,false],"leaders":[null,null,null],"t":"final"}\n']
+    with pytest.raises(TraceFormatError, match="^meta record: scenario: "):
+        read_trace(lines)
+
+
 def test_equal_ids_are_one_object():
     events = [Send(1, MessageId(0, 7), "alive", 0, 1), Deliver(2, MessageId(0, 7), 0, 1),
               Drop(2, MessageId(1, 7), 1, 0), Deliver(3, MessageId(1, 7), 1, 0)]
-    scenario = {"n": 2, "horizon": 10}
-    again = roundtrip(Trace(fingerprint_scenario(scenario), scenario, events,
+    again = roundtrip(Trace(Scenario(n=2, horizon=10), events,
                             [None, None], [False, False])).events
     assert again == events
     assert again[0].mid is again[1].mid and again[2].mid is again[3].mid
