@@ -145,7 +145,8 @@ def _reaches_all_from_0(adj: np.ndarray) -> np.ndarray:
     vector-matrix product; a graph leaves the search as soon as its set
     holds everyone or stops growing, so most graphs cost a hop or two.
     Set sizes are products with a ones vector: a reduction along a short
-    axis costs far more per graph.
+    axis costs far more per graph.  A NaN set size, which no 0/1 input can
+    give, raises FloatingPointError instead of a silent "not found".
     """
     n = adj.shape[1]
     ones = np.ones(n, dtype=np.float32)
@@ -155,16 +156,23 @@ def _reaches_all_from_0(adj: np.ndarray) -> np.ndarray:
     found = size == n
     live = np.flatnonzero(~found)
     a, reach, size = adj[live].astype(np.float32), reach[live], size[live]
-    while live.size:
-        reach = np.minimum((reach[:, None, :] @ a)[:, 0, :] + reach, 1.0)
-        grown = reach @ ones
-        full = grown == n
-        found[live[full]] = True
-        keep = (grown > size) & ~full
-        if not keep.all():
-            live, a, reach, grown = live[keep], a[keep], reach[keep], grown[keep]
-        size = grown
-    return found
+    # A set grows at most n - 1 times, so a graph leaves within n hops unless
+    # its size is NaN: that compares false both ways, so the graph stays, and
+    # the NaN spreads through its set.  Such a graph is raised after n hops;
+    # numpy's invalid-value warning is silenced for the search.
+    with np.errstate(invalid="ignore"):
+        for _ in range(n):
+            if not live.size:
+                return found
+            reach = np.minimum((reach[:, None, :] @ a)[:, 0, :] + reach, 1.0)
+            grown = reach @ ones
+            full = grown == n
+            found[live[full]] = True
+            keep = ~(full | (grown <= size))
+            if not keep.all():
+                live, a, reach, grown = live[keep], a[keep], reach[keep], grown[keep]
+            size = grown
+    raise FloatingPointError("NaN in a reach set size")
 
 
 def _has_multi_hop_leader(adj: np.ndarray) -> np.ndarray:

@@ -12,9 +12,11 @@ routed immediately through their channel model, which fixes the
 delivery step (never earlier than the next step) or drops them.
 
 `run` skips silently over steps in which nothing can happen (no due
-delivery, crash, or timer expiry), which changes nothing observable;
-`run_reference` grinds through every step literally via advance_timers
-and exists to cross-check the fast path on small horizons.
+delivery, crash, or timer expiry), which changes nothing observable.  It
+steps to the earliest heap entry, so a stale timer entry (its timer since
+re-armed or stopped, or its process crashed) may cost an empty step that
+emits nothing.  `run_reference` grinds through every step literally via
+advance_timers and exists to cross-check the fast path on small horizons.
 
 The stimulus rule: a delivery or a timer expiry changes at most the
 leader and its subject's phase and timer (the subject is the message's
@@ -148,14 +150,14 @@ class _Engine:
             self._route_propagation(packets, step)
             return
         append, heap, rng, links = self.events.append, self.delivery_heap, self.rng, self.links
-        seq = self.seq
+        send, drop, seq = Send.direct, Drop.direct, self.seq
         for pkt in packets:
             mid, msg, src, dst = pkt
-            append(Send(step, mid, msg.kind, src, dst))
+            append(send((step, mid, msg.kind, src, dst)))
             model, state = links[mid.origin][src, dst]
             due = schedule_delivery(model, pkt, step, rng, state)
             if due is None:
-                append(Drop(step, mid, src, dst))
+                append(drop((step, mid, src, dst)))
             else:
                 seq += 1
                 heappush(heap, (due, seq, pkt))
@@ -196,23 +198,6 @@ class _Engine:
         if entry[2] == 0:
             del self.prop_graphs[mid]
 
-    # -- timers (fast path) --------------------------------------------------
-
-    def _timer_entry_valid(self, entry: tuple[int, int, int, int]) -> bool:
-        _, proc, subject, ver = entry
-        if self.crashed[proc]:
-            return False
-        ts = self.states[proc].timers[subject]
-        return ts.ver == ver and ts.on
-
-    def _peek_timer_step(self) -> int | None:
-        heap = self.timer_heap
-        while heap:
-            if self._timer_entry_valid(heap[0]):
-                return heap[0][0]
-            heappop(heap)
-        return None
-
     # -- dispatch ------------------------------------------------------------
 
     def _apply_crashes(self, step: int) -> None:
@@ -245,11 +230,12 @@ class _Engine:
             if timer.ver != ver and timer.on:
                 heappush(self.timer_heap,
                          (step + timer.timeout - phase, proc, subject, timer.ver))
-        self._route(out, step)
+        if out:
+            self._route(out, step)
 
     def _deliver_due(self, step: int) -> None:
         heap, crashed = self.delivery_heap, self.crashed
-        append, stimulus = self.events.append, self._stimulus
+        append, stimulus, deliver = self.events.append, self._stimulus, Deliver.direct
         propagation = self.scn.propagation is not None
         while heap and heap[0][0] == step:
             pkt = heappop(heap)[2]
@@ -258,28 +244,18 @@ class _Engine:
                 if propagation:
                     self._landed(mid)
                 continue
-            append(Deliver(step, mid, src, dst))
+            append(deliver((step, mid, src, dst)))
             subject = msg.origin if type(msg) is not Failed else None
             stimulus(step, dst, subject, _DELIVERY_PHASE, on_receive, pkt)
             if propagation:
                 self._landed(mid)
 
     def _dispatch_timeout(self, step: int, proc: int, subject: int) -> None:
-        self.events.append(TimerFired(step, proc, subject))
+        self.events.append(TimerFired.direct((step, proc, subject)))
         if subject == proc:
             self._stimulus(step, proc, proc, _TIMER_PHASE, on_sender_timeout)
         else:
             self._stimulus(step, proc, subject, _TIMER_PHASE, on_receiver_timeout, subject)
-
-    def _fire_timers_fast(self, step: int) -> None:
-        due: list[tuple[int, int]] = []
-        heap = self.timer_heap
-        while heap and heap[0][0] <= step:
-            entry = heappop(heap)
-            if self._timer_entry_valid(entry):
-                due.append((entry[1], entry[2]))
-        for proc, subject in sorted(due):
-            self._dispatch_timeout(step, proc, subject)
 
     def _fire_timers_reference(self, step: int) -> None:
         due: list[tuple[int, int]] = []
@@ -294,22 +270,29 @@ class _Engine:
     # -- main loops ------------------------------------------------------------
 
     def run_fast(self) -> tr.Trace:
-        horizon = self.scn.horizon
+        """Step to the earliest crash, delivery or timer entry.  A timer entry
+        is checked once, when popped after the step's deliveries, and a live
+        one is dispatched at once: the heap pops a step's entries in
+        (process, subject) order, and by the stimulus rule a dispatch changes
+        no other timer and re-arms its own for a later step."""
+        horizon, crashes = self.scn.horizon, self.crash_queue
+        deliveries, timers, states, crashed = (
+            self.delivery_heap, self.timer_heap, self.states, self.crashed)
         while True:
-            nxt = None
-            if self.crash_idx < len(self.crash_queue):
-                nxt = self.crash_queue[self.crash_idx][0]
-            if self.delivery_heap:
-                d = self.delivery_heap[0][0]
-                nxt = d if nxt is None else min(nxt, d)
-            t = self._peek_timer_step()
-            if t is not None:
-                nxt = t if nxt is None else min(nxt, t)
-            if nxt is None or nxt > horizon:
+            crash = crashes[self.crash_idx][0] if self.crash_idx < len(crashes) else horizon + 1
+            step = min(crash, deliveries[0][0] if deliveries else crash,
+                       timers[0][0] if timers else crash)
+            if step > horizon:
                 break
-            self._apply_crashes(nxt)
-            self._deliver_due(nxt)
-            self._fire_timers_fast(nxt)
+            if crash == step:
+                self._apply_crashes(step)
+            if deliveries and deliveries[0][0] == step:
+                self._deliver_due(step)
+            while timers and timers[0][0] == step:
+                _, proc, subject, ver = heappop(timers)
+                timer = states[proc].timers[subject]
+                if timer.ver == ver and timer.on and not crashed[proc]:
+                    self._dispatch_timeout(step, proc, subject)
         return self._finish()
 
     def run_reference(self) -> tr.Trace:

@@ -17,9 +17,10 @@ record.  The meta and final records are read as JSON objects.
 Events, like core's `Packet` and `MessageId`, are immutable typed tuples
 (`NamedTuple`s) that compare equal only within their class: a `Deliver`
 never equals a `Drop` with the same fields, nor a plain tuple.  They hash
-as tuples do.  `read_trace` pauses the cyclic garbage collector while it
-builds the event list (see `core.collector_paused`): its loop makes no
-reference cycles, and nothing observable changes.
+as tuples do.  The reader builds them with `direct` (see
+`core.equal_within_class`).  `read_trace` pauses the cyclic garbage
+collector while it builds the event list (see `core.collector_paused`):
+its loop makes no reference cycles, and nothing observable changes.
 """
 
 from __future__ import annotations
@@ -276,7 +277,13 @@ def read_trace(lines: Iterable[str]) -> Trace:
     as `write_trace` writes it, every value passes its check, only blank lines
     follow the final record, and that record's `crashed` and `leaders` are what
     the events leave: true for each crashed process, and each process's last
-    `LeaderChange.new` (null for a process with none)."""
+    `LeaderChange.new` (null for a process with none).
+
+    A meta scenario need not be in `Scenario.to_dict()` form: a minimal one
+    such as `{"n": 3, "horizon": 100}` reads, its left-out keys taking their
+    defaults.  `write_trace` writes such a trace back in full `to_dict()`
+    form under that form's own fingerprint, so the first write-back is not
+    the file read, and every later one is."""
     it = iter(lines)
     meta = _record(next(it, ""), 1)
     fp, scenario = meta.get("fingerprint"), meta.get("scenario")
@@ -300,7 +307,7 @@ def read_trace(lines: Iterable[str]) -> Trace:
     # steps one int object, as in a simulated trace.
     by_text = {c: checked(c, parse) for c, (*_, parse) in _RENDER.items()}
     steps = _Checked(int)
-    decode = {tag: (cls._make, groups, (steps, *[by_text[c] for c in checks]))
+    decode = {tag: (cls.direct, groups, (steps, *[by_text[c] for c in checks]))
               for tag, (cls, groups, checks) in _DECODE.items()}
     event_line = _LINE.fullmatch
     events: list[TraceEvent] = []

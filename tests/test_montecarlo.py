@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -166,6 +167,17 @@ class TestReachabilityOracle:
                 assert _reaches_all_from_0(graphs).tolist() == from_0
                 assert _has_multi_hop_leader(graphs).tolist() == leader
                 assert _reachability(graphs)[:, 0, :].all(axis=1).tolist() == from_0
+
+    def test_a_nan_in_the_node_zero_search_is_raised(self):
+        # a NaN set size is raised, not read as "not found", and numpy
+        # prints no warning for it
+        adj = np.zeros((3, 4, 4), dtype=np.float32)
+        adj[:, 0, 1] = 1.0
+        adj[1, 2, 3] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="NaN"):
+                _reaches_all_from_0(adj)
 
 
 def _stability_reference(n, p, trials, seed, mode, cap=100_000):

@@ -1,7 +1,9 @@
 import dataclasses
+import io
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
 
 from mpo import trace as tr
 from mpo.channels import (
@@ -23,6 +25,7 @@ from mpo.netsim import (
     run,
     run_reference,
 )
+from strategies import small_scenarios
 
 
 def mixed_scenario(horizon=700, crash=True):
@@ -92,6 +95,18 @@ class TestReferenceEquivalence:
         assert not [step for step in delivered
                     if any(start <= step < end for start, end in windows)]
         assert trace.events == run_reference(scn).events
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_scenarios(max_horizon=2_000))
+    def test_any_small_scenario(self, scn):
+        # crashes, propagation, adjacency and per-origin overrides; the trace
+        # also reads back as written
+        trace = run(scn)
+        assert trace.events == run_reference(scn).events
+        buf = io.StringIO()
+        tr.write_trace(trace, buf)
+        back = tr.read_trace(io.StringIO(buf.getvalue()))
+        assert back.events == trace.events and back.scenario == scn
 
 
 class TestStepSemantics:
@@ -268,26 +283,30 @@ class TestGeneralPropagation:
 
     def test_graphs_are_kept_while_packets_fly(self):
         # each message's graphs are drawn once and, between steps, kept exactly
-        # while one of its packets is in flight; a crashed recipient's packets
-        # land too
+        # while one of its packets is in flight (checked before each step's
+        # deliveries and after the run); a crashed recipient's packets land too
         from mpo.netsim import _Engine
         scn = Scenario(n=6, horizon=3_000, seed=5, crash_schedule={2: 700},
                        propagation=GeneralPropagation(0.8, 0.5, bound=3))
         eng = _Engine(scn)
         draws = []
-        sample, fire = eng._sample_graphs, eng._fire_timers_fast
+        sample, deliver = eng._sample_graphs, eng._deliver_due
 
         def recording():
             draws.append(sample())
             return draws[-1]
 
-        def checking(step):
-            fire(step)
+        def kept_while_in_flight():
             in_flight = Counter(pkt.msg_id for _, _, pkt in eng.delivery_heap)
             assert {mid: entry[2] for mid, entry in eng.prop_graphs.items()} == in_flight
 
-        eng._sample_graphs, eng._fire_timers_fast = recording, checking
+        def checking(step):
+            kept_while_in_flight()
+            deliver(step)
+
+        eng._sample_graphs, eng._deliver_due = recording, checking
         trace = eng.run_fast()
+        kept_while_in_flight()
         sends = [ev for ev in trace.events if isinstance(ev, tr.Send)]
         assert len(draws) == len({ev.mid for ev in sends})
         assert any(ev.dst == 2 and ev.step > 700 for ev in sends)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mpo import core
 from mpo import trace as mtrace
 from mpo.core import Alive, Failed, MessageId, Packet, StartPhase, StopPhase
 from mpo.netsim import Scenario, preset_dependable, run
@@ -30,6 +31,7 @@ from mpo.trace import (
     read_trace_file,
     write_trace,
 )
+from test_collector import SCENARIOS
 
 
 def roundtrip(trace: Trace) -> Trace:
@@ -242,6 +244,19 @@ def test_a_meta_scenario_must_read_as_a_scenario(bad):
         read_trace(lines)
 
 
+def test_a_minimal_meta_record_is_written_back_in_full():
+    # a meta scenario with keys left out, or with a label that is not a
+    # string, reads; it is written back as the Scenario's full dict under that
+    # dict's own fingerprint, and from then on reads and writes byte for byte
+    lines = [meta_line({"n": 3, "horizon": 100, "labels": {"x": 1}}),
+             '{"crashed":[false,false,false],"leaders":[null,null,null],"t":"final"}\n']
+    once = written(read_trace(lines))
+    meta = json.loads(once.splitlines()[0])
+    assert meta["fingerprint"] == "2474a50d3bf5f006" != json.loads(lines[0])["fingerprint"]
+    assert meta["scenario"] == Scenario(n=3, horizon=100, labels={"x": "1"}).to_dict()
+    assert written(read_trace(io.StringIO(once))) == once
+
+
 def test_equal_ids_are_one_object():
     events = [Send(1, MessageId(0, 7), "alive", 0, 1), Deliver(2, MessageId(0, 7), 0, 1),
               Drop(2, MessageId(1, 7), 1, 0), Deliver(3, MessageId(1, 7), 1, 0)]
@@ -282,6 +297,24 @@ def test_value_types_are_immutable_and_hashable(value, attr):
         setattr(value, attr, 7)
     assert hash(value) == hash(copy.copy(value))
     assert {value: 1}[copy.deepcopy(value)] == 1
+
+
+def test_direct_construction_equals_positional_construction():
+    # every typed tuple has `direct`, given by `equal_within_class`
+    typed = {value for module in (core, mtrace) for value in vars(module).values()
+             if isinstance(value, type) and "direct" in vars(value)}
+    assert typed == {MessageId, Packet, *EVENT_FORMAT}
+    for cls in typed:
+        values = tuple(range(len(cls._fields)))
+        for built in (cls.direct(values), cls.direct(iter(values))):
+            assert type(built) is cls and built == cls(*values)
+
+
+@pytest.mark.parametrize("scn", SCENARIOS.values(), ids=SCENARIOS.keys())
+def test_events_hold_one_value_per_field(scn):
+    trace = run(scn)
+    for events in (trace.events, roundtrip(trace).events):
+        assert all(len(ev) == len(type(ev)._fields) for ev in events)
 
 
 def test_a_run_emits_only_the_seven_event_classes():
