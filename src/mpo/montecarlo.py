@@ -19,10 +19,19 @@ estimators resample the whole digraph each round and count how many
 consecutive extra rounds a fixed node keeps the leader property after a
 round in which it holds; per round that is a Bernoulli(q) trial, so the
 count is geometric with mean q / (1 - q).
+
+Node 0's multi-hop verdict on a graph depends only on its n*n cells, so at
+n <= 4 it is read from a table of all 2**(n*n) graphs' verdicts, built once
+by the node-0 search on first use; above n = 4 the search judges each graph.
+The stability estimator credits a run of rounds in which every live trial
+is counting and holds in one step, never past round `cap`.  Neither changes
+an estimate: each trial still sees the same block of uniforms each round,
+and each block gets the verdict the search gives it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -175,10 +184,36 @@ def _reaches_all_from_0(adj: np.ndarray) -> np.ndarray:
     raise FloatingPointError("NaN in a reach set size")
 
 
+# largest n judged by table: 2**16 graphs at n=4 (64 KiB, built in about
+# 20 ms), where a lookup costs a third of the search; 2**25 at n=5
+_TABLE_MAX_N = 4
+
+
+@functools.cache
+def _node_zero_table(n: int) -> np.ndarray:
+    """Node 0's verdict on every graph on n nodes, read-only, indexed by the
+    graph's n*n cells read as bits, row-major, cell (0, 0) the lowest."""
+    index = np.arange(1 << (n * n), dtype=np.uint16)[:, None]
+    graphs = (index >> np.arange(n * n, dtype=np.uint16)) & 1
+    table = _reaches_all_from_0(graphs.astype(bool).reshape(-1, n, n))
+    table.flags.writeable = False
+    return table
+
+
+def _node_zero_reaches_all(adj: np.ndarray) -> np.ndarray:
+    """`_reaches_all_from_0` on boolean graphs: by table for n <= 4, by
+    search above that."""
+    n = adj.shape[1]
+    if n > _TABLE_MAX_N:
+        return _reaches_all_from_0(adj)
+    index = adj.reshape(len(adj), n * n) @ (1 << np.arange(n * n))
+    return _node_zero_table(n)[index]
+
+
 def _has_multi_hop_leader(adj: np.ndarray) -> np.ndarray:
     """Node 0 is tried first; the closure is built only for the graphs in
     which node 0 is not a root."""
-    found = _reaches_all_from_0(adj)
+    found = _node_zero_reaches_all(adj)
     rest = np.flatnonzero(~found)
     if rest.size:
         found[rest] = _reachability(adj[rest]).all(axis=2).any(axis=1)
@@ -214,9 +249,14 @@ def mc_multi_hop(n: int, p: float, trials: int, seed: int) -> Estimate:
 
 def exhaustive_existence(n: int, p: float, mode: Mode) -> float:
     """Exact existence probability by summing over all 2**(n*(n-1)) edge
-    subsets; the oracle the estimators are validated against.  n <= 4."""
+    subsets; the oracle the estimators are validated against.  n <= 4.
+    Multi-hop graphs are judged by the closure alone, so the oracle shares
+    no code with the node-0 table."""
     if n > 4:
         raise ValueError("exhaustive enumeration refuses n > 4")
+    if mode not in (Mode.SINGLE_HOP, Mode.MULTI_HOP):
+        raise ConfigurationError(
+            f"exhaustive existence judges single_hop or multi_hop, not {mode}")
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
     total = 0.0
     for bits in product((False, True), repeat=len(pairs)):
@@ -230,7 +270,7 @@ def exhaustive_existence(n: int, p: float, mode: Mode) -> float:
         ok = (
             _has_single_hop_leader(adj)[0]
             if mode is Mode.SINGLE_HOP
-            else _has_multi_hop_leader(adj)[0]
+            else _reachability(adj).all(axis=2).any(axis=1)[0]
         )
         if ok:
             total += prob
@@ -246,7 +286,7 @@ def _holds_round(rng: np.random.Generator, k: int, n: int, p: float,
     adj = rng.random((k, n, n)) < p
     if mode is Mode.BITIMELY:
         adj = adj & adj.transpose(0, 2, 1)
-    return _reaches_all_from_0(adj)
+    return _node_zero_reaches_all(adj)
 
 
 def mc_stability(
@@ -269,7 +309,12 @@ def mc_stability(
     uniforms from the call's generator.  The verdicts are judged ahead,
     `_AHEAD_CELLS` uniforms' worth of blocks or a round's at a time; the
     unused tail past the last round is never seen, so the estimate is the
-    one of judging round by round.
+    one of judging round by round.  Node 0 is judged by table at n <= 4
+    and by search above that.  Once every live trial is counting, the
+    judged rows ahead in which all of them hold are credited in one step,
+    up to the first row with a failure and never past round `cap`, so
+    censoring still happens round by round; such rounds end no trial, so
+    they consume the same blocks either way.
     """
     _check(n, p, trials, cap)
     rng = np.random.default_rng(seed)
@@ -281,14 +326,26 @@ def mc_stability(
     censored = 0
     rounds = 0
     while live.size:
-        rounds += 1
-        if rounds > 2 * cap:
-            censored += live.size
-            break
         k = live.size
         if verdicts.size < k:
             verdicts = np.concatenate(
                 (verdicts, _holds_round(rng, max(k, ahead), n, p, mode)))
+        if rounds < cap and counting.all():
+            # every live trial counts: credit the verdict rows ahead that
+            # hold for all of them in one step, up to round cap at most
+            rows = min(verdicts.size // k, cap - rounds)
+            full = verdicts[:rows * k].reshape(rows, k).all(axis=1)
+            step = rows if full.all() else int(full.argmin())
+            if step:
+                counts[live] += step
+                rounds += step
+                verdicts = verdicts[step * k:]
+                if verdicts.size < k:
+                    continue
+        rounds += 1
+        if rounds > 2 * cap:
+            censored += live.size
+            break
         held, verdicts = verdicts[:k], verdicts[k:]
         counts[live[counting & held]] += 1
         stay = held | ~counting

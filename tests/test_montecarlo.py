@@ -1,16 +1,19 @@
 import math
 import warnings
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mpo.core import ConfigurationError
 from mpo.montecarlo import (
     _AHEAD_CELLS,
     Estimate,
     Mode,
     _has_multi_hop_leader,
+    _node_zero_reaches_all,
     _reachability,
     _reaches_all_from_0,
     bitimely_connectivity_bound,
@@ -88,6 +91,11 @@ class TestExhaustiveOracle:
     def test_refuses_large_n(self):
         with pytest.raises(ValueError):
             exhaustive_existence(5, 0.5, Mode.SINGLE_HOP)
+
+    def test_refuses_the_bitimely_mode(self):
+        # there is no bitimely oracle, and the mode must not pass as multi-hop
+        with pytest.raises(ConfigurationError, match="BITIMELY"):
+            exhaustive_existence(3, 0.5, Mode.BITIMELY)
 
 
 class TestEstimators:
@@ -168,6 +176,23 @@ class TestReachabilityOracle:
                 assert _has_multi_hop_leader(graphs).tolist() == leader
                 assert _reachability(graphs)[:, 0, :].all(axis=1).tolist() == from_0
 
+    @pytest.mark.parametrize("n", (2, 3, 4))
+    def test_node_zero_table_matches_bfs_on_every_graph(self, n):
+        # every graph on n nodes, cell (0, 0) the highest bit of its number
+        graphs = np.array(list(product((False, True), repeat=n * n)))
+        graphs = graphs.reshape(-1, n, n)
+        from_0 = [_bfs_reaches_all(g, 0) for g in graphs.tolist()]
+        assert _node_zero_reaches_all(graphs).tolist() == from_0
+
+    @pytest.mark.parametrize("n", (4, 5))  # largest table n, smallest search n
+    def test_node_zero_helper_matches_the_search(self, n):
+        rng = np.random.default_rng(200 + n)
+        for p in (0.3, 0.6, 0.9):
+            adj = rng.random((3_000, n, n)) < p
+            for graphs in (adj, adj & adj.transpose(0, 2, 1)):
+                assert (_node_zero_reaches_all(graphs).tolist()
+                        == _reaches_all_from_0(graphs).tolist())
+
     def test_a_nan_in_the_node_zero_search_is_raised(self):
         # a NaN set size is raised, not read as "not found", and numpy
         # prints no warning for it
@@ -222,13 +247,15 @@ def _stability_reference(n, p, trials, seed, mode, cap=100_000):
 
 # (n, p, trials, seed, cap): plain; censored at the cap; trials still
 # waiting for their first holding round at 2*cap; one trial; more live
-# trials in the first rounds than one read-ahead holds
+# trials in the first rounds than one read-ahead holds; runs whose all-held
+# rounds carry many trials to the cap
 STABILITY_CASES = {
     "plain": (4, 0.9, 300, 11, 100_000),
     "cap censors": (3, 0.95, 200, 12, 4),
     "waiting past 2 cap": (7, 0.25, 60, 13, 2),
     "one trial": (4, 0.8, 1, 14, 100_000),
     "trials above read-ahead": (8, 0.6, _AHEAD_CELLS // 64 + 300, 15, 100_000),
+    "quiet tail meets cap": (4, 0.97, 40, 16, 300),
 }
 
 
@@ -246,6 +273,10 @@ def test_stability_reference_cases_reach_their_paths():
     assert _stability_reference(3, 0.95, 200, 12, Mode.SINGLE_HOP, 4)[2] > 0
     mean, _, censored = _stability_reference(7, 0.25, 60, 13, Mode.MULTI_HOP, 2)
     assert censored > 0 and mean < 1
+    # the quiet tail censors most trials at the cap, in all but single-hop mode
+    censored = {mode: _stability_reference(4, 0.97, 40, 16, mode, 300)[2]
+                for mode in Mode}
+    assert censored == {Mode.SINGLE_HOP: 0, Mode.MULTI_HOP: 39, Mode.BITIMELY: 33}
 
 
 class TestStability:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from mpo import trace as tr
+from mpo.audit import audit_report
 from mpo.channels import (
     DeliverProb,
     DropPattern,
@@ -100,13 +101,14 @@ class TestReferenceEquivalence:
     @given(small_scenarios(max_horizon=2_000))
     def test_any_small_scenario(self, scn):
         # crashes, propagation, adjacency and per-origin overrides; the trace
-        # also reads back as written
+        # also reads back as written, and audits the same either way
         trace = run(scn)
         assert trace.events == run_reference(scn).events
         buf = io.StringIO()
         tr.write_trace(trace, buf)
         back = tr.read_trace(io.StringIO(buf.getvalue()))
         assert back.events == trace.events and back.scenario == scn
+        assert audit_report(trace).to_json_obj() == audit_report(back).to_json_obj()
 
 
 class TestStepSemantics:
