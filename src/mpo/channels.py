@@ -7,6 +7,11 @@ suppression windows) read and update a ChannelState owned by the caller,
 so a model instance itself stays immutable config and one scenario can
 drive many independent runs.
 
+Per-message propagation (`GeneralPropagation`, `[propagation]`) is a model
+too, replacing every `[channels]` and `[channels:origin=K]` entry: all
+channels share one ChannelState holding n and, by message id, [reliable
+edges, timely edges, packets in flight] while a packet of it is in flight.
+
 The textual forms close the module: `read_int` and `read_float` read
 every number of a scenario's dict or config-file form, and
 `model_from_spec` reads a channel spec with them, rejecting any key its
@@ -22,7 +27,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any
 
-from .core import ConfigurationError, Packet
+from .core import ConfigurationError, MessageId, Packet
 
 
 def _check_delay(lo: int, hi: int) -> None:
@@ -135,12 +140,39 @@ class Lossy:
 ChannelModel = Timely | EventuallyTimely | FairLossy | StronglyNonTimely | Lossy
 
 
-@dataclass
+@dataclass(frozen=True)
+class GeneralPropagation:
+    """Per-message propagation, every channel's model: none has standing properties.
+
+    Each message gets a reliable edge set R (each directed edge present
+    with probability p_reliable) and a timely subset T (each R edge also
+    timely with probability p_timely).  Packets over edges outside R are
+    dropped; T edges deliver within `bound` steps; R-only edges deliver
+    late, in (bound, 4*bound].  The probabilities are kept as floats, so
+    GeneralPropagation(1, 0) and its dict form are one model.
+    """
+
+    p_reliable: float
+    p_timely: float
+    bound: int = 4
+
+    def __post_init__(self) -> None:
+        if not (0 <= self.p_reliable <= 1 and 0 <= self.p_timely <= 1):
+            raise ConfigurationError("p_reliable and p_timely must lie in [0, 1]")
+        if self.bound < 1:
+            raise ConfigurationError(f"bound must be >= 1, got {self.bound}")
+        object.__setattr__(self, "p_reliable", float(self.p_reliable))
+        object.__setattr__(self, "p_timely", float(self.p_timely))
+
+
+@dataclass(slots=True)
 class ChannelState:
-    """Mutable per-run, per-channel bookkeeping."""
+    """Mutable per-run, per-channel bookkeeping; one for all under GeneralPropagation."""
 
     stream_counts: dict[tuple[str, int], int] = field(default_factory=dict)
     windows: list[tuple[int, int]] | None = None
+    n: int = 0
+    graphs: dict[MessageId, list] = field(default_factory=dict)
 
 
 def suppression_windows(
@@ -218,14 +250,40 @@ def _lossy(model: Lossy, pkt: Packet, send_step: int, rng: random.Random,
     return None
 
 
+def sample_graphs(model: GeneralPropagation, n: int,
+                  rng: random.Random) -> tuple[set, set]:
+    """A message's reliable edge set and its timely subset."""
+    reliable, timely = set(), set()
+    for edge in [(u, v) for u in range(n) for v in range(n) if u != v]:
+        if rng.random() < model.p_reliable:
+            reliable.add(edge)
+            if rng.random() < model.p_timely:
+                timely.add(edge)
+    return reliable, timely
+
+
+def _propagation(model: GeneralPropagation, pkt: Packet, send_step: int,
+                 rng: random.Random, state: ChannelState) -> int | None:
+    entry = state.graphs.get(pkt.msg_id)
+    if entry is None:  # the message's first packet
+        entry = state.graphs[pkt.msg_id] = [*sample_graphs(model, state.n, rng), 0]
+    reliable, timely, _ = entry
+    edge = (pkt.src, pkt.dst)
+    if edge not in reliable:
+        return None
+    entry[2] += 1
+    b = model.bound
+    return send_step + (rng.randint(1, b) if edge in timely else rng.randint(b + 1, 4 * b))
+
+
 # model class -> its scheduler, which takes schedule_delivery's arguments
 _SCHEDULERS = {Timely: _timely, EventuallyTimely: _eventually_timely,
                FairLossy: _fair_lossy, StronglyNonTimely: _strongly_non_timely,
-               Lossy: _lossy}
+               Lossy: _lossy, GeneralPropagation: _propagation}
 
 
 def schedule_delivery(
-    model: ChannelModel,
+    model: ChannelModel | GeneralPropagation,
     pkt: Packet,
     send_step: int,
     rng: random.Random,
@@ -234,8 +292,8 @@ def schedule_delivery(
     """Delivery step for `pkt` sent at `send_step`, or None if dropped.
 
     `rng` is the run's seeded stream; `state` the channel's running
-    bookkeeping, one per channel for the whole run (a fair-lossy drop
-    pattern counts across calls).
+    bookkeeping for the whole run (a fair-lossy drop pattern counts across
+    calls), one per channel, or one for all under GeneralPropagation.
     """
     scheduler = _SCHEDULERS.get(type(model))
     if scheduler is None:

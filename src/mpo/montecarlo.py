@@ -84,7 +84,7 @@ class StabilityEstimate:
 
 
 def _check(n: int, p: float | None = None, trials: int | None = None,
-           cap: int | None = None, target: float | None = None) -> None:
+           cap: int | None = None, target: float | None = None, seed: int | None = None) -> None:
     """Reject an estimator parameter out of range; None skips a check."""
     if n < 2:
         raise ConfigurationError(f"need n >= 2, got n={n}")
@@ -94,6 +94,8 @@ def _check(n: int, p: float | None = None, trials: int | None = None,
         raise ConfigurationError(f"need at least one trial, got trials={trials}")
     if cap is not None and cap < 1:
         raise ConfigurationError(f"cap must be >= 1, got cap={cap}")
+    if seed is not None and seed < 0:  # numpy's generators take no negative seed
+        raise ConfigurationError(f"seed must be >= 0, got seed={seed}")
     # ln(ln(1 + target)) needs 1 + target > 1, which fails below about 1.1e-16
     if target is not None and not 1.0 < 1.0 + target < math.inf:
         raise ConfigurationError(
@@ -228,7 +230,7 @@ def _estimate(hits: int, trials: int) -> Estimate:
 
 def mc_single_hop(n: int, p: float, trials: int, seed: int) -> Estimate:
     """Fraction of sampled digraphs containing a single-hop leader."""
-    _check(n, p, trials)
+    _check(n, p, trials, seed=seed)
     hits = sum(
         int(_has_single_hop_leader(adj).sum())
         for adj in _adjacency_batches(n, p, trials, seed)
@@ -239,7 +241,7 @@ def mc_single_hop(n: int, p: float, trials: int, seed: int) -> Estimate:
 def mc_multi_hop(n: int, p: float, trials: int, seed: int) -> Estimate:
     """Fraction of sampled digraphs containing a node that reaches everyone
     through timely edges."""
-    _check(n, p, trials)
+    _check(n, p, trials, seed=seed)
     hits = sum(
         int(_has_multi_hop_leader(adj).sum())
         for adj in _adjacency_batches(n, p, trials, seed)
@@ -316,7 +318,7 @@ def mc_stability(
     censoring still happens round by round; such rounds end no trial, so
     they consume the same blocks either way.
     """
-    _check(n, p, trials, cap)
+    _check(n, p, trials, cap, seed=seed)
     rng = np.random.default_rng(seed)
     counts = np.zeros(trials, dtype=np.int64)
     live = np.arange(trials)                 # trials neither done nor censored

@@ -8,8 +8,12 @@ global step: (1) scheduled crashes land, (2) every packet due this step
 is delivered (crashed recipients consume silently), (3) timers advance
 by one step and the ones that hit their timeout are dispatched in
 ascending (process, subject) order.  Packets emitted by a handler are
-routed immediately through their channel model, which fixes the
-delivery step (never earlier than the next step) or drops them.
+routed immediately by `_route`, the one routing loop, through their
+channel model's `schedule_delivery`, which fixes the delivery step (never
+earlier than the next step) or drops them.  Per-message propagation is a
+channel model too (see `channels`) that replaces `channels` and
+`origin_channels`; the engine drops a message's graphs when its last
+packet lands, or when every packet of a new message was dropped.
 
 `run` skips silently over steps in which nothing can happen (no due
 delivery, crash, or timer expiry), which changes nothing observable.  It
@@ -104,51 +108,34 @@ class _Engine:
         self.delivery_heap: list[tuple[int, int, Packet]] = []
         # (fire step, process, subject, timer ver); stale entries are skipped
         self.timer_heap: list[tuple[int, int, int, int]] = []
-        # propagation mode: message id -> [reliable edges, timely edges,
-        # packets in flight], for the messages with a packet in flight
-        self.prop_graphs: dict[MessageId, list] = {}
         self.crash_queue = sorted(
             (step, p) for p, step in scn.crash_schedule.items()
         )
         self.crash_idx = 0
+        pairs = [(u, v) for u in range(scn.n) for v in range(scn.n) if u != v]
+        # the shared state's graphs in propagation mode (see `channels`), else None
+        self.prop_graphs: dict[MessageId, list] | None = None
         # origin -> (src, dst) -> the link's (model, state); origins without
         # overrides share one table
-        links = {
-            (u, v): _link(scn, u, v, scn.channels.get((u, v), scn.default_channel))
-            for u in range(scn.n) for v in range(scn.n) if u != v
-        }
-        self.links = [links] * scn.n
-        for origin, pairs in scn.origin_channels.items():
-            self.links[origin] = links | {
-                (u, v): _link(scn, u, v, model) for (u, v), model in pairs.items()
-            }
+        if scn.propagation is not None:  # one model and one state on every link
+            shared = ChannelState(n=scn.n)
+            self.prop_graphs = shared.graphs
+            self.links = [dict.fromkeys(pairs, (scn.propagation, shared))] * scn.n
+        else:
+            links = {(u, v): _link(scn, u, v, scn.channels.get((u, v), scn.default_channel))
+                     for u, v in pairs}
+            self.links = [links] * scn.n
+            for origin, overrides in scn.origin_channels.items():
+                self.links[origin] = links | {
+                    (u, v): _link(scn, u, v, model) for (u, v), model in overrides.items()
+                }
         for p in range(scn.n):
             # own timers armed at step 0; they fire at step sender_timeout
             heappush(self.timer_heap, (scn.timers.sender_timeout, p, p, 0))
 
     # -- channels ----------------------------------------------------------
 
-    def _sample_graphs(self) -> tuple[set, set]:
-        """A message's reliable edge set and its timely subset, drawn when
-        the message's first packet is routed."""
-        gp = self.scn.propagation
-        rng = self.rng
-        reliable: set[tuple[int, int]] = set()
-        timely: set[tuple[int, int]] = set()
-        for u in range(self.scn.n):
-            for v in range(self.scn.n):
-                if u == v:
-                    continue
-                if rng.random() < gp.p_reliable:
-                    reliable.add((u, v))
-                    if rng.random() < gp.p_timely:
-                        timely.add((u, v))
-        return reliable, timely
-
     def _route(self, packets: list[Packet], step: int) -> None:
-        if self.scn.propagation is not None:
-            self._route_propagation(packets, step)
-            return
         append, heap, rng, links = self.events.append, self.delivery_heap, self.rng, self.links
         send, drop, seq = Send.direct, Drop.direct, self.seq
         for pkt in packets:
@@ -162,33 +149,13 @@ class _Engine:
                 seq += 1
                 heappush(heap, (due, seq, pkt))
         self.seq = seq
-
-    def _route_propagation(self, packets: list[Packet], step: int) -> None:
-        """Route over each message's own graphs.  A message's graphs are kept
-        while any of its packets is in flight or being handled; new packets of
-        a message come only from its origination or from handling one of its
-        packets, so dropped graphs are never needed again."""
-        append, heap, rng = self.events.append, self.delivery_heap, self.rng
-        graphs, b, seq = self.prop_graphs, self.scn.propagation.bound, self.seq
-        for pkt in packets:
-            mid, msg, src, dst = pkt
-            append(Send(step, mid, msg.kind, src, dst))
-            entry = graphs.get(mid)
-            if entry is None:
-                entry = graphs[mid] = [*self._sample_graphs(), 0]
-            reliable, timely, _ = entry
-            edge = (src, dst)
-            if edge not in reliable:
-                append(Drop(step, mid, src, dst))
-                continue
-            due = step + (rng.randint(1, b) if edge in timely else rng.randint(b + 1, 4 * b))
-            entry[2] += 1
-            seq += 1
-            heappush(heap, (due, seq, pkt))
-        self.seq = seq
-        for mid in {pkt.msg_id for pkt in packets}:
-            if graphs[mid][2] == 0:  # every packet of a new message dropped
-                del graphs[mid]
+        graphs = self.prop_graphs
+        if graphs is not None:
+            # a message's packets come only from its origination or from
+            # handling one of them, so dropped graphs are never needed again
+            for mid in {pkt.msg_id for pkt in packets}:
+                if graphs[mid][2] == 0:  # every packet of a new message dropped
+                    del graphs[mid]
 
     def _landed(self, mid: MessageId) -> None:
         """A packet of `mid` was delivered and handled, or consumed by a
@@ -236,17 +203,14 @@ class _Engine:
     def _deliver_due(self, step: int) -> None:
         heap, crashed = self.delivery_heap, self.crashed
         append, stimulus, deliver = self.events.append, self._stimulus, Deliver.direct
-        propagation = self.scn.propagation is not None
+        propagation = self.prop_graphs is not None
         while heap and heap[0][0] == step:
             pkt = heappop(heap)[2]
             mid, msg, src, dst = pkt
-            if crashed[dst]:  # consumed silently, no action runs
-                if propagation:
-                    self._landed(mid)
-                continue
-            append(deliver((step, mid, src, dst)))
-            subject = msg.origin if type(msg) is not Failed else None
-            stimulus(step, dst, subject, _DELIVERY_PHASE, on_receive, pkt)
+            if not crashed[dst]:  # a crashed recipient consumes it silently
+                append(deliver((step, mid, src, dst)))
+                subject = msg.origin if type(msg) is not Failed else None
+                stimulus(step, dst, subject, _DELIVERY_PHASE, on_receive, pkt)
             if propagation:
                 self._landed(mid)
 

@@ -30,7 +30,8 @@ to `from_dict`.  Only the section layout is INI-specific:
     [crashes]                    ; optional
     3 = 5000
 
-    [propagation]                ; optional; per-message sampling mode
+    [propagation]                ; optional; per-message sampling mode, which
+                                 ; replaces every [channels...] entry
     p_reliable = 0.9
     p_timely = 0.6
     bound = 3
@@ -46,39 +47,15 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 from types import MappingProxyType
-from typing import Any, Mapping, TextIO
+from typing import Any, Callable, Mapping, TextIO
 
-from .channels import ChannelModel, Timely, model_from_spec, model_to_spec, read_float, read_int
-from .core import ConfigurationError, TimerConfig
+from .channels import (ChannelModel, GeneralPropagation, Timely, model_from_spec,
+                       model_to_spec, read_float, read_int)
+from .core import TimerConfig
 
 
 class ScenarioError(ValueError):
     """Scenario fails validation."""
-
-
-@dataclass(frozen=True)
-class GeneralPropagation:
-    """Per-message propagation sampling: no channel has standing properties.
-
-    Each message gets a reliable edge set R (each directed edge present
-    with probability p_reliable) and a timely subset T (each R edge also
-    timely with probability p_timely).  Packets over edges outside R are
-    dropped; T edges deliver within `bound` steps; R-only edges deliver
-    late, in (bound, 4*bound].  The probabilities are kept as floats, so
-    GeneralPropagation(1, 0) and its dict form are one model.
-    """
-
-    p_reliable: float
-    p_timely: float
-    bound: int = 4
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.p_reliable <= 1 and 0 <= self.p_timely <= 1):
-            raise ConfigurationError("p_reliable and p_timely must lie in [0, 1]")
-        if self.bound < 1:
-            raise ConfigurationError(f"bound must be >= 1, got {self.bound}")
-        object.__setattr__(self, "p_reliable", float(self.p_reliable))
-        object.__setattr__(self, "p_timely", float(self.p_timely))
 
 
 @dataclass(frozen=True)
@@ -313,12 +290,26 @@ def parse_scenario(fh: TextIO, source: str = "<config>") -> Scenario:
         raise ScenarioParseError(str(exc)) from None
 
 
-def parse_scenario_file(path: str) -> Scenario:
+def read_text_file(path: str, read: Callable[[TextIO], Any], error: type[ValueError]) -> Any:
+    """`read` of the UTF-8 text file at `path`; an `error` it raises, or a byte
+    not UTF-8, raises `error` naming the path (and the byte's offset)."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return parse_scenario(fh, source=path)
-        except ScenarioError as exc:
-            raise ScenarioParseError(f"{path}: {exc}") from None
+            return read(fh)
+        except error as exc:
+            raise error(f"{path}: {exc}") from None
+        except UnicodeDecodeError:
+            pass
+    with open(path, "rb") as fh:
+        try:
+            fh.read().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: not UTF-8 at byte {exc.start} ({exc.reason})") from None
+    raise error(f"{path}: not UTF-8")  # the file changed since it was read
+
+
+def parse_scenario_file(path: str) -> Scenario:
+    return read_text_file(path, lambda fh: parse_scenario(fh, path), ScenarioParseError)
 
 
 def dump_scenario(scn: Scenario, fh: TextIO) -> None:

@@ -6,13 +6,12 @@ form with its fingerprint, one event per line, and the final leader
 outputs on the last line.  Each line is canonical JSON.  `read_trace`
 reads the meta record's scenario only through `Scenario.from_dict`, so
 every Trace holds a checked Scenario.  `EVENT_FORMAT` is the event
-contract: the writer's line templates and the reader's checks are both
-built from it at import, and the reader holds every value to its check
-against the n and horizon of the scenario.  The reader reads an event
-line only in the form the writer writes it: it matches each line
-against its class's pattern, the writer's template read backwards and
-built from the same table, and rejects any other line but the final
-record.  The meta and final records are read as JSON objects.
+contract: the writer's line templates and the reader's line patterns,
+each a template read backwards, are both built from it at import.  The
+reader reads an event line only as its class's pattern, which fixes
+every field's syntax, so it checks only ranges, against the scenario's
+n and horizon; it rejects any other line but the final record.  The
+meta and final records are read as JSON objects.
 
 Events, like core's `Packet` and `MessageId`, are immutable typed tuples
 (`NamedTuple`s) that compare equal only within their class: a `Deliver`
@@ -32,7 +31,8 @@ from operator import attrgetter, getitem
 from typing import Any, Callable, Iterable, NamedTuple, NoReturn, TextIO, get_args
 
 from .core import Message, MessageId, collector_paused, equal_within_class
-from .scenario_io import Scenario, ScenarioError, canonical_json, fingerprint_scenario
+from .scenario_io import (Scenario, ScenarioError, canonical_json, fingerprint_scenario,
+                          read_text_file)
 
 
 class TraceFormatError(ValueError):
@@ -117,16 +117,11 @@ class Trace:
         return [p for p in range(self.n) if not self.crashed[p]]
 
 
-# A check takes a field's JSON value and the trace's n, and returns the
-# field's value or raises ValueError.  Bools are not ints.
 def _bad(value: Any, what: str) -> NoReturn:
     raise ValueError(f"{value!r} is not {what}")
 
 
-def _count(v: Any, n: int = 0) -> int:
-    return v if type(v) is int and v >= 0 else _bad(v, "an int >= 0")
-
-
+# the range checks of a JSON value against the trace's n; bools are not ints
 def _proc(v: Any, n: int) -> int:
     return v if type(v) is int and 0 <= v < n else _bad(v, f"a process in [0, {n})")
 
@@ -135,46 +130,43 @@ def _leader(v: Any, n: int) -> int | None:  # null: no leader
     return v if v is None else _proc(v, n)
 
 
+def _read_mid(text: str, n: int) -> MessageId:
+    origin, seq = text.split(",")
+    return MessageId(_proc(int(origin), n), int(seq))
+
+
 _KINDS = frozenset(message.kind for message in get_args(Message))
 
-
-def _kind(v: Any, n: int) -> str:
-    return v if type(v) is str and v in _KINDS else _bad(v, f"one of {sorted(_KINDS)}")
-
-
-def _mid(v: Any, n: int) -> MessageId:
-    origin, seq = v if type(v) is list and len(v) == 2 else _bad(v, "[origin, seq]")
-    return MessageId(_proc(origin, n), _count(seq))
-
-
 # event class -> ("t" tag, the fields after `step` in declaration order, each
-# (attribute, JSON key, check)).  Every event also has a "step", which lies in
-# [0, horizon] and never decreases from one event to the next.
+# (attribute, JSON key, field kind)).  Every event also has a "step", a count
+# that lies in [0, horizon] and never decreases from one event to the next.
 EVENT_FORMAT = {
-    Send: ("send", (("mid", "mid", _mid), ("kind", "kind", _kind),
-                    ("src", "from", _proc), ("dst", "to", _proc))),
-    Deliver: ("deliver", (("mid", "mid", _mid), ("src", "from", _proc),
-                          ("dst", "to", _proc))),
-    Drop: ("drop", (("mid", "mid", _mid), ("src", "from", _proc), ("dst", "to", _proc))),
-    TimerFired: ("timer", (("proc", "proc", _proc), ("subject", "subject", _proc))),
-    LeaderChange: ("leader", (("proc", "proc", _proc), ("old", "old", _leader),
-                              ("new", "new", _leader))),
-    Crash: ("crash", (("proc", "proc", _proc),)),
-    PhaseChange: ("phase", (("proc", "proc", _proc), ("origin", "origin", _proc),
-                            ("phase", "phase", _count))),
+    Send: ("send", (("mid", "mid", "mid"), ("kind", "kind", "kind"),
+                    ("src", "from", "proc"), ("dst", "to", "proc"))),
+    Deliver: ("deliver", (("mid", "mid", "mid"), ("src", "from", "proc"),
+                          ("dst", "to", "proc"))),
+    Drop: ("drop", (("mid", "mid", "mid"), ("src", "from", "proc"), ("dst", "to", "proc"))),
+    TimerFired: ("timer", (("proc", "proc", "proc"), ("subject", "subject", "proc"))),
+    LeaderChange: ("leader", (("proc", "proc", "proc"), ("old", "old", "leader"),
+                              ("new", "new", "leader"))),
+    Crash: ("crash", (("proc", "proc", "proc"),)),
+    PhaseChange: ("phase", (("proc", "proc", "proc"), ("origin", "origin", "proc"),
+                            ("phase", "phase", "count"))),
 }
-# how the writer renders a field that passes a check, and how the reader reads
-# it back: its %-format and the attribute paths under the field whose values
-# fill the format; the pattern of exactly the JSON texts that the format can
-# write, with one capture group, and how that group's text becomes the JSON value
+# field kind -> how the writer renders it and how the reader reads it back: its
+# %-format and the attribute paths under the field whose values fill the format;
+# the pattern of exactly the JSON texts that the format can write, with one
+# capture group; and `read(text, n)`, that group's text as the field's value.
+# The pattern fixes the syntax, so a read checks only that a process is in [0, n).
 _INT = "(?:0|[1-9][0-9]*)"  # an int >= 0 in JSON: ASCII digits, no sign, no leading 0
 _RENDER = {
-    _count: ("%d", ("",), f"({_INT})", int),
-    _proc: ("%d", ("",), f"({_INT})", int),
-    _leader: ("%s", ("",), f"(null|{_INT})", lambda text: None if text == "null" else int(text)),
-    _kind: ('"%s"', ("",), '"(%s)"' % "|".join(map(re.escape, sorted(_KINDS))), str),
-    _mid: ("[%d,%d]", (".origin", ".seq"), rf"\[({_INT},{_INT})\]",
-           lambda text: [int(v) for v in text.split(",")]),
+    "count": ("%d", ("",), f"({_INT})", lambda text, n: int(text)),
+    "proc": ("%d", ("",), f"({_INT})", lambda text, n: _proc(int(text), n)),
+    "leader": ("%s", ("",), f"(null|{_INT})",
+               lambda text, n: None if text == "null" else _proc(int(text), n)),
+    "kind": ('"%s"', ("",), '"(%s)"' % "|".join(map(re.escape, sorted(_KINDS))),
+             lambda text, n: text),
+    "mid": ("[%d,%d]", (".origin", ".seq"), rf"\[({_INT},{_INT})\]", _read_mid),
 }
 # so a kind needs no escaping inside its quotes
 assert all(canonical_json(kind) == f'"{kind}"' for kind in _KINDS)
@@ -185,8 +177,8 @@ def _layout(tag: str, fields: tuple) -> tuple[str, list[str], str, list[str]]:
     %-template and the attribute paths that fill it, and the reader's pattern
     with one capture group per key but the literal "t", and those keys in order."""
     cells = {"t": (canonical_json(tag), (), re.escape(canonical_json(tag)))}
-    for attr, key, check in (("step", "step", _count), *fields):  # a step renders as a count
-        fmt, subs, pattern, _ = _RENDER[check]
+    for attr, key, kind in (("step", "step", "count"), *fields):
+        fmt, subs, pattern, _ = _RENDER[kind]
         cells[key] = (fmt, tuple(attr + sub for sub in subs), pattern)
     keys = sorted(cells)
     heads = [canonical_json(key) + ":" for key in keys]
@@ -209,17 +201,17 @@ def _encoder(template: str, paths: list[str], nullable: bool) -> Callable[[Any],
 def _tables() -> tuple[dict, dict, re.Pattern]:
     """The codec's tables.  For the writer, by class: the event's encoder.  For
     the reader, by tag: (class, the numbers of the groups that hold the texts
-    of "step" and the fields in declaration order in the match of its line, the
-    fields' checks); and the lines of all classes as one alternation of their
+    of "step" and the fields in declaration order in the match of its line,
+    their kinds); and the lines of all classes as one alternation of their
     patterns, each followed by an empty group named after its tag, so a match's
     `lastgroup` is the tag."""
     encode, decode, branches, first = {}, {}, [], 1
     for cls, (tag, fields) in EVENT_FORMAT.items():
         template, paths, pattern, keys = _layout(tag, fields)
-        checks = tuple(check for *_, check in fields)
+        kinds = ("count", *[kind for *_, kind in fields])
         order = ("step", *[key for _, key, _ in fields])
-        encode[cls] = _encoder(template, paths, _leader in checks)
-        decode[tag] = (cls, tuple(first + keys.index(key) for key in order), checks)
+        encode[cls] = _encoder(template, paths, "leader" in kinds)
+        decode[tag] = (cls, tuple(first + keys.index(key) for key in order), kinds)
         branches.append(f"{pattern}(?P<{tag}>)")
         first += len(keys) + 1
     return encode, decode, re.compile("|".join(branches))
@@ -255,18 +247,18 @@ def _record(line: str, lineno: int) -> dict[str, Any]:
     return obj
 
 
-class _Checked(dict):
-    """Memo of a field's text -> its checked value: the first look-up of a
-    text runs `check` on it and keeps the value; a failed check keeps nothing."""
+class _Read(dict):
+    """Memo of a field's text -> its value: the first look-up of a text reads
+    it with `read(text, n)` and keeps the value; a failed read keeps nothing."""
 
-    __slots__ = ("check",)
+    __slots__ = ("read", "n")
 
-    def __init__(self, check: Callable[[str], Any]) -> None:
+    def __init__(self, read: Callable[[str, int], Any], n: int) -> None:
         super().__init__()
-        self.check = check
+        self.read, self.n = read, n
 
     def __missing__(self, text: str) -> Any:
-        value = self[text] = self.check(text)
+        value = self[text] = self.read(text, self.n)
         return value
 
 
@@ -299,16 +291,12 @@ def read_trace(lines: Iterable[str]) -> Trace:
         raise TraceFormatError(f"meta record: scenario: {exc}") from None
     n, horizon = scenario.n, scenario.horizon
 
-    def checked(check: Callable[[Any, int], Any], parse: Callable[[str], Any]) -> _Checked:
-        return _Checked(lambda text: check(parse(text), n))
-
-    # A field is looked up by its text, each distinct text parsed and checked
-    # once: equal ids give one MessageId, as an id has one text, and equal
-    # steps one int object, as in a simulated trace.
-    by_text = {c: checked(c, parse) for c, (*_, parse) in _RENDER.items()}
-    steps = _Checked(int)
-    decode = {tag: (cls.direct, groups, (steps, *[by_text[c] for c in checks]))
-              for tag, (cls, groups, checks) in _DECODE.items()}
+    # A field is looked up by its text, each distinct text read once: equal
+    # ids give one MessageId, as an id has one text, and equal steps one int
+    # object, as in a simulated trace.
+    by_text = {kind: _Read(read, n) for kind, (*_, read) in _RENDER.items()}
+    decode = {tag: (cls.direct, groups, [by_text[kind] for kind in kinds])
+              for tag, (cls, groups, kinds) in _DECODE.items()}
     event_line = _LINE.fullmatch
     events: list[TraceEvent] = []
     last = 0
@@ -364,8 +352,4 @@ def read_trace(lines: Iterable[str]) -> Trace:
 
 def read_trace_file(path: str) -> Trace:
     """`read_trace` of a file; text mode reads a `\\r\\n` line ending as `\\n`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return read_trace(fh)
-        except TraceFormatError as exc:
-            raise TraceFormatError(f"{path}: {exc}") from None
+    return read_text_file(path, read_trace, TraceFormatError)

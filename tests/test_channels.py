@@ -8,6 +8,7 @@ from mpo.channels import (
     DropPattern,
     EventuallyTimely,
     FairLossy,
+    GeneralPropagation,
     Lossy,
     StronglyNonTimely,
     Timely,
@@ -15,7 +16,6 @@ from mpo.channels import (
     suppression_windows,
 )
 from mpo.core import Alive, ConfigurationError, MessageId, Packet
-from mpo.netsim import GeneralPropagation
 
 
 def alive_pkt(origin=0, seq=0, src=0, dst=1):
@@ -131,6 +131,21 @@ def test_model_parameters_checked_on_construction(build):
 
 def test_unknown_model_is_a_type_error():
     rng = random.Random(0)
-    for model in (object(), GeneralPropagation(1.0, 1.0), "timely b=4"):
+    for model in (object(), "timely b=4"):
         with pytest.raises(TypeError, match="unknown channel model"):
             schedule_delivery(model, alive_pkt(), 0, rng, ChannelState())
+
+
+def test_propagation_draws_a_message_graphs_with_its_first_packet():
+    # every edge reliable and timely: each packet arrives within the bound, and
+    # the one shared state counts the message's packets in flight
+    rng, state = random.Random(0), ChannelState(n=3)
+    model = GeneralPropagation(1.0, 1.0, bound=2)
+    for dst in (1, 2):
+        assert 11 <= schedule_delivery(model, alive_pkt(dst=dst), 10, rng, state) <= 12
+    edges = {(u, v) for u in range(3) for v in range(3) if u != v}
+    assert state.graphs == {MessageId(0, 0): [edges, edges, 2]}
+    # no edge reliable: the packet is dropped and nothing is in flight
+    state = ChannelState(n=3)
+    assert schedule_delivery(GeneralPropagation(0.0, 1.0), alive_pkt(), 10, rng, state) is None
+    assert state.graphs == {MessageId(0, 0): [set(), set(), 0]}

@@ -16,7 +16,7 @@ from mpo.scenario_io import (
     parse_scenario,
     parse_scenario_file,
 )
-from mpo.trace import canonical_json, fingerprint_scenario, read_trace, write_trace
+from mpo.trace import canonical_json, fingerprint_scenario, read_trace, read_trace_file, write_trace
 from strategies import small_scenarios
 
 
@@ -151,6 +151,13 @@ class TestCliRun:
         rc = main(["run", "--scenario", str(tmp_path / "no.cfg"), "--out", str(out)])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+    def test_run_takes_a_negative_seed(self, tmp_path):
+        # random.Random takes any int; only numpy's estimators refuse one
+        cfg = self.run_config(tmp_path, horizon=500)
+        out = tmp_path / "t.jsonl"
+        assert main(["run", "--scenario", str(cfg), "--out", str(out), "--seed", "-1"]) == 0
+        assert read_trace_file(str(out)).scenario.seed == -1
 
     def test_run_malformed_scenario_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -329,8 +336,12 @@ def _line(record: dict) -> str:
 _META = _meta({"n": 3, "horizon": 100})
 _FINAL = '{"t":"final","leaders":[null,null,null],"crashed":[false,false,false]}\n'
 
+# bytes past the first 8 KiB that text-mode reading decodes at once
+_FAR = 9_000
+
 # (input body: scenario file lines after [scenario] for `run`, None for a valid
-# scenario, or the whole trace file for `audit`; CLI arguments; environment)
+# scenario, or the whole trace file for `audit`, or bytes, the whole file for
+# either; CLI arguments; environment)
 BAD_INPUTS = {
     "channel bound 0": ("[channels]\ndefault = timely b=0\n", ["run"], {}),
     "empty delay window": ("[channels]\n0->1 = fair_lossy q=0.5 delay=9:2\n", ["run"], {}),
@@ -470,12 +481,28 @@ BAD_INPUTS = {
                              "--trials", "10"], {}),
     "empty grid": (None, ["mc", "--mode", "existence", "--n", ",", "--p", "0.5",
                           "--trials", "10"], {}),
+    "mc seed -1": (None, ["mc", "--mode", "existence", "--n", "3", "--p", "0.5",
+                          "--trials", "10", "--seed", "-1"], {}),
+    "sweep seed -1": (None, ["sweep", "--n", "3", "--trials", "10", "--seed", "-1"], {}),
+    "scenario file not UTF-8": (b"\xff[scenario]\nn = 3\nhorizon = 100\n", ["run"], {}),
+    "scenario label not UTF-8": (
+        b"[scenario]\nn = 3\nhorizon = 100\n[labels]\nnote = caf\xe9\n", ["run"], {}),
+    "trace file not UTF-8": (b"\xff" + (_META + _FINAL).encode(), ["audit"], {}),
+    "trace not UTF-8 past the first read": (
+        (_META + "\n" * _FAR).encode() + b"\xc3(\n" + _FINAL.encode(), ["audit"], {}),
 }
 
 
-# row -> what stderr names for the rows of one bad event line: a line not in
-# the writer's form, or a field of one that fails its check
+# row -> what stderr names: for the rows of one bad event line, a line not in
+# the writer's form or a field of one that fails its check; for a file that is
+# not UTF-8, the offset of its first bad byte; for a seed, the seed
 EVENT_ERRORS = {
+    "mc seed -1": "seed=-1",
+    "sweep seed -1": "seed=-1",
+    "scenario file not UTF-8": "not UTF-8 at byte 0",
+    "scenario label not UTF-8": "not UTF-8 at byte 50",
+    "trace file not UTF-8": "not UTF-8 at byte 0",
+    "trace not UTF-8 past the first read": f"not UTF-8 at byte {len(_META) + _FAR}",
     **dict.fromkeys(["trace event missing fields", "trace step not an int",
                      "trace mid not two ints", "trace step negative",
                      "trace phase origin out of range", "trace seq negative",
@@ -500,11 +527,14 @@ def test_bad_input_is_usage_error(tmp_path, capsys, monkeypatch, name):
         monkeypatch.setenv(key, value)
     if argv[0] == "run":
         cfg = tmp_path / "scn.cfg"
-        cfg.write_text("[scenario]\nn = 3\nhorizon = 100\n" + (body or ""))
+        if isinstance(body, bytes):
+            cfg.write_bytes(body)
+        else:
+            cfg.write_text("[scenario]\nn = 3\nhorizon = 100\n" + (body or ""))
         argv = argv + ["--scenario", str(cfg), "--out", str(tmp_path / "out.jsonl")]
     elif argv[0] == "audit":
         trace = tmp_path / "t.jsonl"
-        trace.write_text(body)
+        trace.write_bytes(body if isinstance(body, bytes) else body.encode())
         argv = argv + ["--trace", str(trace)]
     assert _exit_code(argv) == 2
     err = capsys.readouterr().err

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings
 
+from mpo import channels, netsim
 from mpo import trace as tr
 from mpo.audit import audit_report
 from mpo.channels import (
@@ -265,25 +266,25 @@ class TestConvergenceBehavior:
 
 
 class TestGeneralPropagation:
-    def test_timely_subset_of_reliable(self):
+    def test_timely_subset_of_reliable(self, monkeypatch):
         from mpo.netsim import _Engine
         scn = Scenario(n=4, horizon=300, seed=21,
                        propagation=GeneralPropagation(0.6, 0.5, bound=3))
         eng = _Engine(scn)
         sampled = []
-        sample = eng._sample_graphs
+        sample = channels.sample_graphs
 
-        def recording():
-            sampled.append(sample())
+        def recording(*args):
+            sampled.append(sample(*args))
             return sampled[-1]
 
-        eng._sample_graphs = recording
+        monkeypatch.setattr(channels, "sample_graphs", recording)
         eng.run_fast()
         assert sampled, "messages were sampled"
         for reliable, timely in sampled:
             assert timely <= reliable
 
-    def test_graphs_are_kept_while_packets_fly(self):
+    def test_graphs_are_kept_while_packets_fly(self, monkeypatch):
         # each message's graphs are drawn once and, between steps, kept exactly
         # while one of its packets is in flight (checked before each step's
         # deliveries and after the run); a crashed recipient's packets land too
@@ -292,10 +293,10 @@ class TestGeneralPropagation:
                        propagation=GeneralPropagation(0.8, 0.5, bound=3))
         eng = _Engine(scn)
         draws = []
-        sample, deliver = eng._sample_graphs, eng._deliver_due
+        sample, deliver = channels.sample_graphs, eng._deliver_due
 
-        def recording():
-            draws.append(sample())
+        def recording(*args):
+            draws.append(sample(*args))
             return draws[-1]
 
         def kept_while_in_flight():
@@ -306,7 +307,8 @@ class TestGeneralPropagation:
             kept_while_in_flight()
             deliver(step)
 
-        eng._sample_graphs, eng._deliver_due = recording, checking
+        monkeypatch.setattr(channels, "sample_graphs", recording)
+        eng._deliver_due = checking
         trace = eng.run_fast()
         kept_while_in_flight()
         sends = [ev for ev in trace.events if isinstance(ev, tr.Send)]
@@ -319,6 +321,24 @@ class TestGeneralPropagation:
                        propagation=GeneralPropagation(0.5, 0.5, bound=2))
         t = run(scn)
         assert any(isinstance(ev, tr.Drop) for ev in t.events)
+
+    def test_every_packet_is_scheduled_by_its_channel_model(self, monkeypatch):
+        # the behaviour digest's propagation scenario: each send is one call
+        # of netsim's schedule_delivery, the name per-packet hooks wrap
+        scn = Scenario(n=5, horizon=4_000, seed=71,
+                       propagation=GeneralPropagation(0.9, 0.6, bound=4))
+        calls = []
+        schedule = netsim.schedule_delivery
+
+        def counting(*args):
+            calls.append(schedule(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(netsim, "schedule_delivery", counting)
+        trace = run(scn)
+        sends = [ev for ev in trace.events if isinstance(ev, tr.Send)]
+        assert len(calls) == len(sends) > 0
+        assert calls.count(None) == sum(isinstance(ev, tr.Drop) for ev in trace.events)
 
 
 class TestScenarioPlumbing:
