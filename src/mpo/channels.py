@@ -10,7 +10,9 @@ drive many independent runs.
 Per-message propagation (`GeneralPropagation`, `[propagation]`) is a model
 too, replacing every `[channels]` and `[channels:origin=K]` entry: all
 channels share one ChannelState holding n and, by message id, [reliable
-edges, timely edges, packets in flight] while a packet of it is in flight.
+edges, timely edges, the latest delivery step scheduled].  Its scheduler
+alone keeps and deletes these graphs: an entry goes when a new message is
+first sent after the last delivery of that message.
 
 The textual forms close the module: `read_int` and `read_float` read
 every number of a scenario's dict or config-file form, and
@@ -167,7 +169,9 @@ class GeneralPropagation:
 
 @dataclass(slots=True)
 class ChannelState:
-    """Mutable per-run, per-channel bookkeeping; one for all under GeneralPropagation."""
+    """Mutable per-run, per-channel bookkeeping; one for all under GeneralPropagation,
+    whose `graphs` maps a message id to [reliable edges, timely edges, last
+    due] until a new message is first sent after that last due step."""
 
     stream_counts: dict[tuple[str, int], int] = field(default_factory=dict)
     windows: list[tuple[int, int]] | None = None
@@ -264,16 +268,29 @@ def sample_graphs(model: GeneralPropagation, n: int,
 
 def _propagation(model: GeneralPropagation, pkt: Packet, send_step: int,
                  rng: random.Random, state: ChannelState) -> int | None:
-    entry = state.graphs.get(pkt.msg_id)
+    """The mode's scheduler; it alone keeps a message's graphs.
+
+    `core` sends a message again only inside `on_receive`, on a packet of
+    the same id, so once every packet of a message has landed nothing needs
+    its graphs: a new message's first packet deletes every entry whose last
+    due is before `send_step`.  This assumes the returned step is the
+    delivery step; a wrapper may shorten a propagation delay, never lengthen it.
+    """
+    graphs = state.graphs
+    entry = graphs.get(pkt.msg_id)
     if entry is None:  # the message's first packet
-        entry = state.graphs[pkt.msg_id] = [*sample_graphs(model, state.n, rng), 0]
-    reliable, timely, _ = entry
+        for mid in [mid for mid, (_, _, last) in graphs.items() if last < send_step]:
+            del graphs[mid]
+        entry = graphs[pkt.msg_id] = [*sample_graphs(model, state.n, rng), send_step]
+    reliable, timely, last = entry
     edge = (pkt.src, pkt.dst)
     if edge not in reliable:
         return None
-    entry[2] += 1
     b = model.bound
-    return send_step + (rng.randint(1, b) if edge in timely else rng.randint(b + 1, 4 * b))
+    due = send_step + (rng.randint(1, b) if edge in timely else rng.randint(b + 1, 4 * b))
+    if due > last:
+        entry[2] = due
+    return due
 
 
 # model class -> its scheduler, which takes schedule_delivery's arguments

@@ -303,9 +303,10 @@ def mc_stability(
     property after a round establishing it, the whole digraph resampled
     every round.
 
-    Runs are censored at `cap` retained rounds (and a trial still waiting
-    for its first holding round after `cap` rounds is censored at 0);
-    with any censoring the mean reads as a lower bound.
+    Runs are censored at `cap` retained rounds, and every trial still live
+    after round 2*cap at the count it has: 0 if it never held, below `cap`
+    if it began counting after round `cap`.  With any censoring the mean
+    reads as a lower bound.
 
     Each round gives every live trial, in trial order, the next block of
     uniforms from the call's generator.  The verdicts are judged ahead,

@@ -12,8 +12,9 @@ routed immediately by `_route`, the one routing loop, through their
 channel model's `schedule_delivery`, which fixes the delivery step (never
 earlier than the next step) or drops them.  Per-message propagation is a
 channel model too (see `channels`) that replaces `channels` and
-`origin_channels`; the engine drops a message's graphs when its last
-packet lands, or when every packet of a new message was dropped.
+`origin_channels`; its scheduler keeps each message's graphs until a new
+message is sent after the message's last delivery, so the engine runs
+the same code in every mode.
 
 `run` skips silently over steps in which nothing can happen (no due
 delivery, crash, or timer expiry), which changes nothing observable.  It
@@ -59,7 +60,6 @@ from .channels import (
 )
 from .core import (
     Failed,
-    MessageId,
     MpoState,
     Packet,
     TimerConfig,
@@ -108,18 +108,15 @@ class _Engine:
         self.delivery_heap: list[tuple[int, int, Packet]] = []
         # (fire step, process, subject, timer ver); stale entries are skipped
         self.timer_heap: list[tuple[int, int, int, int]] = []
-        self.crash_queue = sorted(
-            (step, p) for p, step in scn.crash_schedule.items()
+        # (step, process), latest first: the next crash is popped off the end
+        self.crashes = sorted(
+            ((step, p) for p, step in scn.crash_schedule.items()), reverse=True
         )
-        self.crash_idx = 0
         pairs = [(u, v) for u in range(scn.n) for v in range(scn.n) if u != v]
-        # the shared state's graphs in propagation mode (see `channels`), else None
-        self.prop_graphs: dict[MessageId, list] | None = None
         # origin -> (src, dst) -> the link's (model, state); origins without
         # overrides share one table
         if scn.propagation is not None:  # one model and one state on every link
             shared = ChannelState(n=scn.n)
-            self.prop_graphs = shared.graphs
             self.links = [dict.fromkeys(pairs, (scn.propagation, shared))] * scn.n
         else:
             links = {(u, v): _link(scn, u, v, scn.channels.get((u, v), scn.default_channel))
@@ -149,32 +146,15 @@ class _Engine:
                 seq += 1
                 heappush(heap, (due, seq, pkt))
         self.seq = seq
-        graphs = self.prop_graphs
-        if graphs is not None:
-            # a message's packets come only from its origination or from
-            # handling one of them, so dropped graphs are never needed again
-            for mid in {pkt.msg_id for pkt in packets}:
-                if graphs[mid][2] == 0:  # every packet of a new message dropped
-                    del graphs[mid]
-
-    def _landed(self, mid: MessageId) -> None:
-        """A packet of `mid` was delivered and handled, or consumed by a
-        crashed recipient."""
-        entry = self.prop_graphs[mid]
-        entry[2] -= 1
-        if entry[2] == 0:
-            del self.prop_graphs[mid]
 
     # -- dispatch ------------------------------------------------------------
 
     def _apply_crashes(self, step: int) -> None:
-        while self.crash_idx < len(self.crash_queue) and \
-                self.crash_queue[self.crash_idx][0] == step:
-            _, proc = self.crash_queue[self.crash_idx]
-            self.crash_idx += 1
-            if not self.crashed[proc]:
-                self.crashed[proc] = True
-                self.events.append(Crash(step, proc))
+        crashes = self.crashes
+        while crashes and crashes[-1][0] == step:
+            proc = crashes.pop()[1]
+            self.crashed[proc] = True
+            self.events.append(Crash(step, proc))
 
     def _stimulus(self, step: int, proc: int, subject: int | None, phase: int,
                   transition, arg=None) -> None:
@@ -203,7 +183,6 @@ class _Engine:
     def _deliver_due(self, step: int) -> None:
         heap, crashed = self.delivery_heap, self.crashed
         append, stimulus, deliver = self.events.append, self._stimulus, Deliver.direct
-        propagation = self.prop_graphs is not None
         while heap and heap[0][0] == step:
             pkt = heappop(heap)[2]
             mid, msg, src, dst = pkt
@@ -211,8 +190,6 @@ class _Engine:
                 append(deliver((step, mid, src, dst)))
                 subject = msg.origin if type(msg) is not Failed else None
                 stimulus(step, dst, subject, _DELIVERY_PHASE, on_receive, pkt)
-            if propagation:
-                self._landed(mid)
 
     def _dispatch_timeout(self, step: int, proc: int, subject: int) -> None:
         self.events.append(TimerFired.direct((step, proc, subject)))
@@ -239,11 +216,11 @@ class _Engine:
         one is dispatched at once: the heap pops a step's entries in
         (process, subject) order, and by the stimulus rule a dispatch changes
         no other timer and re-arms its own for a later step."""
-        horizon, crashes = self.scn.horizon, self.crash_queue
+        horizon, crashes = self.scn.horizon, self.crashes
         deliveries, timers, states, crashed = (
             self.delivery_heap, self.timer_heap, self.states, self.crashed)
         while True:
-            crash = crashes[self.crash_idx][0] if self.crash_idx < len(crashes) else horizon + 1
+            crash = crashes[-1][0] if crashes else horizon + 1
             step = min(crash, deliveries[0][0] if deliveries else crash,
                        timers[0][0] if timers else crash)
             if step > horizon:
@@ -300,7 +277,6 @@ def preset_dependable(
     crash_steps: tuple[int, ...] = (),
     sender_timeout: int = 64,
     bound: int = 2,
-    backup: int | None = None,
 ) -> Scenario:
     """Scenario in which `leader` provably deserves to win.
 
@@ -318,24 +294,25 @@ def preset_dependable(
     receiver timeout absorbs the full tree delay so the leader's
     subjects never false-alarm once its heartbeats flow.
 
-    Crashing the designated leader is allowed only with a `backup`: a
-    second process wired the same way, so the survivor network still
-    meets the conditions and re-converges after the crash.  When the
-    leader is scheduled to crash and no backup is named, the smallest
-    surviving id is used.
+    When the leader is scheduled to crash, the smallest surviving id
+    becomes a backup: a second process wired the same way and labelled
+    `backup`, so the survivor network still meets the conditions and
+    re-converges after the crash.  A process crashes at most once, so a
+    repeated victim is rejected.
     """
     if not 0 <= leader < n:
         raise ScenarioError(f"leader {leader} outside [0, {n})")
     if len(crash_victims) != len(crash_steps):
         raise ScenarioError("need one crash step per victim")
-    if leader in crash_victims and backup is None:
+    repeated = [p for i, p in enumerate(crash_victims) if p in crash_victims[:i]]
+    if repeated:
+        raise ScenarioError(f"process {repeated[0]} is a crash victim more than once")
+    backup = None
+    if leader in crash_victims:
         survivors = [x for x in range(n) if x != leader and x not in crash_victims]
         if not survivors:
             raise ScenarioError("nobody would survive to take over")
         backup = survivors[0]
-    if backup is not None:
-        if backup == leader or backup in crash_victims:
-            raise ScenarioError("backup must be a surviving non-leader")
 
     rng = random.Random(seed * 0x9E3779B1 % (1 << 62) ^ 0x5EED)
     slow_lo = (n - 1) * bound

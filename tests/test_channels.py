@@ -138,14 +138,22 @@ def test_unknown_model_is_a_type_error():
 
 def test_propagation_draws_a_message_graphs_with_its_first_packet():
     # every edge reliable and timely: each packet arrives within the bound, and
-    # the one shared state counts the message's packets in flight
+    # the one shared state keeps the message's graphs with its last due step
     rng, state = random.Random(0), ChannelState(n=3)
     model = GeneralPropagation(1.0, 1.0, bound=2)
-    for dst in (1, 2):
-        assert 11 <= schedule_delivery(model, alive_pkt(dst=dst), 10, rng, state) <= 12
+    dues = [schedule_delivery(model, alive_pkt(dst=dst), 10, rng, state) for dst in (1, 2)]
+    assert all(11 <= due <= 12 for due in dues)
     edges = {(u, v) for u in range(3) for v in range(3) if u != v}
-    assert state.graphs == {MessageId(0, 0): [edges, edges, 2]}
-    # no edge reliable: the packet is dropped and nothing is in flight
+    assert state.graphs == {MessageId(0, 0): [edges, edges, max(dues)]}
+    # a new message sent at that last due keeps the entry; one sent after it
+    # deletes it, as every packet of the message has landed by then
+    schedule_delivery(model, alive_pkt(seq=1), max(dues), rng, state)
+    assert set(state.graphs) == {MessageId(0, 0), MessageId(0, 1)}
+    last = state.graphs[MessageId(0, 1)][2]
+    schedule_delivery(model, alive_pkt(seq=2), last + 1, rng, state)
+    assert set(state.graphs) == {MessageId(0, 2)}
+    # no edge reliable: the packet is dropped and the entry keeps its send step,
+    # so it outlives the rest of its routing batch
     state = ChannelState(n=3)
     assert schedule_delivery(GeneralPropagation(0.0, 1.0), alive_pkt(), 10, rng, state) is None
-    assert state.graphs == {MessageId(0, 0): [set(), set(), 0]}
+    assert state.graphs == {MessageId(0, 0): [set(), set(), 10]}

@@ -362,6 +362,7 @@ BAD_INPUTS = {
     "grid value": (None, ["mc", "--mode", "existence", "--n", "3,x", "--p", "0.5",
                           "--trials", "10"], {}),
     "crash step": (None, ["demo", "--n", "3", "--crash", "1@x"], {}),
+    "crash victim repeated": (None, ["demo", "--n", "3", "--crash", "1@10,1@20"], {}),
     "demo horizon 0": (None, ["demo", "--n", "3", "--horizon", "0"], {}),
     "trace event missing fields": (_META + _line({"t": "send", "step": 1}) + _FINAL,
                                    ["audit"], {}),

@@ -1,6 +1,5 @@
 import dataclasses
 import io
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -285,36 +284,41 @@ class TestGeneralPropagation:
             assert timely <= reliable
 
     def test_graphs_are_kept_while_packets_fly(self, monkeypatch):
-        # each message's graphs are drawn once and, between steps, kept exactly
-        # while one of its packets is in flight (checked before each step's
-        # deliveries and after the run); a crashed recipient's packets land too
+        # the scheduler alone keeps each message's graphs.  Checked after every
+        # routing batch, the only place graphs are drawn or deleted (between
+        # batches the delivery heap only shrinks): each packet in flight has
+        # its message's graphs stored with a last due no earlier than its own,
+        # and no stored entry's last due is before the latest first send.
+        # A crashed recipient's packets are sent and scheduled like any other.
         from mpo.netsim import _Engine
         scn = Scenario(n=6, horizon=3_000, seed=5, crash_schedule={2: 700},
                        propagation=GeneralPropagation(0.8, 0.5, bound=3))
         eng = _Engine(scn)
-        draws = []
-        sample, deliver = channels.sample_graphs, eng._deliver_due
+        graphs = eng.links[0][0, 1][1].graphs
+        draws, sent, peak, latest_first = [], set(), [0], [0]
+        sample, route = channels.sample_graphs, eng._route
 
         def recording(*args):
             draws.append(sample(*args))
             return draws[-1]
 
-        def kept_while_in_flight():
-            in_flight = Counter(pkt.msg_id for _, _, pkt in eng.delivery_heap)
-            assert {mid: entry[2] for mid, entry in eng.prop_graphs.items()} == in_flight
-
-        def checking(step):
-            kept_while_in_flight()
-            deliver(step)
+        def checking(packets, step):
+            route(packets, step)
+            if any(pkt.msg_id not in sent for pkt in packets):
+                latest_first[0] = step
+            sent.update(pkt.msg_id for pkt in packets)
+            for due, _, pkt in eng.delivery_heap:
+                assert graphs[pkt.msg_id][2] >= due
+            assert all(last >= latest_first[0] for _, _, last in graphs.values())
+            peak[0] = max(peak[0], len(graphs))
 
         monkeypatch.setattr(channels, "sample_graphs", recording)
-        eng._deliver_due = checking
+        eng._route = checking
         trace = eng.run_fast()
-        kept_while_in_flight()
         sends = [ev for ev in trace.events if isinstance(ev, tr.Send)]
-        assert len(draws) == len({ev.mid for ev in sends})
+        assert len(draws) == len({ev.mid for ev in sends}) == len(sent)
         assert any(ev.dst == 2 and ev.step > 700 for ev in sends)
-        assert len(eng.prop_graphs) < len(draws) / 10
+        assert peak[0] < len(draws) / 10
 
     def test_drops_match_unreliable_edges(self):
         scn = Scenario(n=3, horizon=300, seed=2,
