@@ -13,6 +13,14 @@ every field's syntax, so it checks only ranges, against the scenario's
 n and horizon; it rejects any other line but the final record.  The
 meta and final records are read as JSON objects.
 
+A broadcast writes one line per destination, and those lines differ only
+after their last `,"to":`.  A line whose head, its text before that cut,
+repeats the head of a line already read at its step takes that head's
+values and its own tail's destination once the tail passes the
+destination's check; a tail that fails it sends the line down the pattern
+path, so nothing accepted or rejected changes, nor any error message.  The
+reader keeps the heads of one step only, as steps never decrease.
+
 Events, like core's `Packet` and `MessageId`, are immutable typed tuples
 (`NamedTuple`s) that compare equal only within their class: a `Deliver`
 never equals a `Drop` with the same fields, nor a plain tuple.  They hash
@@ -198,14 +206,16 @@ def _encoder(template: str, paths: list[str], nullable: bool) -> Callable[[Any],
     return lambda ev: template % values(ev)
 
 
-def _tables() -> tuple[dict, dict, re.Pattern]:
+def _tables() -> tuple[dict, dict, re.Pattern, tuple]:
     """The codec's tables.  For the writer, by class: the event's encoder.  For
     the reader, by tag: (class, the numbers of the groups that hold the texts
     of "step" and the fields in declaration order in the match of its line,
-    their kinds); and the lines of all classes as one alternation of their
+    their kinds); the lines of all classes as one alternation of their
     patterns, each followed by an empty group named after its tag, so a match's
-    `lastgroup` is the tag."""
-    encode, decode, branches, first = {}, {}, [], 1
+    `lastgroup` is the tag; and the tail of the classes whose last key is a
+    field, not "t": (the cut before that key, the tags of those classes, the
+    pattern of the tail after the cut, the field's `read`)."""
+    encode, decode, branches, first, tails = {}, {}, [], 1, set()
     for cls, (tag, fields) in EVENT_FORMAT.items():
         template, paths, pattern, keys = _layout(tag, fields)
         kinds = ("count", *[kind for *_, kind in fields])
@@ -214,10 +224,17 @@ def _tables() -> tuple[dict, dict, re.Pattern]:
         decode[tag] = (cls, tuple(first + keys.index(key) for key in order), kinds)
         branches.append(f"{pattern}(?P<{tag}>)")
         first += len(keys) + 1
-    return encode, decode, re.compile("|".join(branches))
+        if (key := max("t", *keys)) != "t":  # the line ends in this field
+            assert key == order[-1], "a tail field is its class's last field"
+            tails.add((tag, key, kinds[-1]))
+    (key, kind), = {(key, kind) for _, key, kind in tails}  # one cut for all
+    _, _, pattern, read = _RENDER[kind]
+    tail = ("," + canonical_json(key) + ":", frozenset(tag for tag, *_ in tails),
+            re.compile(pattern + r"\}\n?"), read)
+    return encode, decode, re.compile("|".join(branches)), tail
 
 
-_ENCODE, _DECODE, _LINE = _tables()
+_ENCODE, _DECODE, _LINE, _TAIL = _tables()
 
 
 def write_trace(trace: Trace, fh: TextIO) -> None:
@@ -235,6 +252,14 @@ def write_trace(trace: Trace, fh: TextIO) -> None:
 def write_trace_file(trace: Trace, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         write_trace(trace, fh)
+
+
+def _read_tail(text: str, n: int) -> Any:
+    """The value of a line's tail, its text after `_TAIL`'s cut: the field's
+    text then `}`, in the field's pattern, and its value read and checked."""
+    _, _, pattern, read = _TAIL
+    m = pattern.fullmatch(text)
+    return read(m.group(1), n) if m else _bad(text, "a tail")
 
 
 def _record(line: str, lineno: int) -> dict[str, Any]:
@@ -269,7 +294,16 @@ def read_trace(lines: Iterable[str]) -> Trace:
     as `write_trace` writes it, every value passes its check, only blank lines
     follow the final record, and that record's `crashed` and `leaders` are what
     the events leave: true for each crashed process, and each process's last
-    `LeaderChange.new` (null for a process with none).
+    `LeaderChange.new` (null for a process with none).  It walks the lines
+    once, and keeps for the final check only each process's last new leader
+    and the set of crashed processes.
+
+    A line that repeats the head (the text before its last `,"to":`) of a
+    line read at the same step takes that head's values once its tail, the
+    destination and `}`, passes the destination's check; otherwise it is read
+    by its pattern.  Only the current step's heads are kept, so memory holds
+    one step's broadcasts, and every line is accepted or rejected, with the
+    same value or message, as by the pattern alone.
 
     A meta scenario need not be in `Scenario.to_dict()` form: a minimal one
     such as `{"n": 3, "horizon": 100}` reads, its left-out keys taking their
@@ -298,9 +332,26 @@ def read_trace(lines: Iterable[str]) -> Trace:
     decode = {tag: (cls.direct, groups, [by_text[kind] for kind in kinds])
               for tag, (cls, groups, kinds) in _DECODE.items()}
     event_line = _LINE.fullmatch
+    # heads: the head (the text before `cut`) of each line of a tail class
+    # read by its pattern at step `last` -> (its class's `direct`, the values
+    # of its fields but the last)
+    cut, tail_tags, *_ = _TAIL
+    heads: dict[str, tuple] = {}
+    tail_value = _Read(_read_tail, n)
     events: list[TraceEvent] = []
+    append = events.append
     last = 0
+    crashes, outputs = set(), [None] * n  # outputs: each process's last new leader
     for lineno, line in enumerate(it, start=2):
+        head, _, tail = line.rpartition(cut)
+        if (hit := heads.get(head)) is not None:
+            try:
+                value = tail_value[tail]
+            except ValueError:  # read by the pattern, which names the fault
+                pass
+            else:
+                append(hit[0]((*hit[1], value)))
+                continue
         if (m := event_line(line)) is None:
             if not line.strip():
                 continue
@@ -317,8 +368,16 @@ def read_trace(lines: Iterable[str]) -> Trace:
                 _bad(ev.step, f"a step in [{last}, {horizon}]")
         except ValueError as exc:
             raise TraceFormatError(f"line {lineno}: bad {tag!r} event: {exc!r}") from None
-        events.append(ev)
-        last = ev.step
+        append(ev)
+        if ev.step != last:  # no head of an earlier step can recur
+            heads.clear()
+            last = ev.step
+        if tag in tail_tags:
+            heads[head] = (make, ev[:-1])
+        elif type(ev) is LeaderChange:
+            outputs[ev.proc] = ev.new
+        elif type(ev) is Crash:
+            crashes.add(ev.proc)
     else:
         raise TraceFormatError("truncated trace: missing final record")
     for extra, line in enumerate(it, start=lineno + 1):
@@ -332,13 +391,6 @@ def read_trace(lines: Iterable[str]) -> Trace:
         leaders = [_leader(v, n) for v in leaders]
     except ValueError as exc:
         raise TraceFormatError(f"final record: leaders: {exc}") from None
-    crashes, outputs = set(), [None] * n  # outputs: each process's last new leader
-    for ev in events:
-        cls = type(ev)
-        if cls is LeaderChange:
-            outputs[ev.proc] = ev.new
-        elif cls is Crash:
-            crashes.add(ev.proc)
     if any(type(c) is not bool for c in crashed) or crashed != [p in crashes for p in range(n)]:
         raise TraceFormatError("final record: 'crashed' must be true exactly for the"
                                f" processes with a crash event, {sorted(crashes)}")

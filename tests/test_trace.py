@@ -66,6 +66,17 @@ def every_kind() -> Trace:
     return Trace(Scenario(n=3, horizon=10), events, [None, 0, None], [False, False, True])
 
 
+def fan_out() -> Trace:
+    """A trace of n=5 in which process 0 broadcasts one message at step 1 that
+    lands at step 2, delivered to 1 and 2 and dropped to 3 and 4: three groups
+    of lines (4 sends, 2 delivers, 2 drops) that differ only in "to"."""
+    n, mid = 5, MessageId(0, 0)
+    events = [*(Send(1, mid, "alive", 0, dst) for dst in range(1, n)),
+              *(Deliver(2, mid, 0, dst) for dst in (1, 2)),
+              *(Drop(2, mid, 0, dst) for dst in (3, 4))]
+    return Trace(Scenario(n=n, horizon=10), events, [None] * n, [False] * n)
+
+
 def test_every_event_kind_serializes():
     trace = every_kind()
     assert roundtrip(trace).events == trace.events
@@ -354,6 +365,7 @@ def assert_events_take_the_pattern(trace: Trace) -> None:
 
 @settings(max_examples=200, deadline=None)
 @given(traces())
+@example(fan_out())
 def test_every_written_event_line_matches_its_pattern(trace):
     assert_events_take_the_pattern(trace)
 
@@ -408,6 +420,7 @@ def is_canonical(line: str) -> bool:
 @settings(max_examples=10, deadline=None)
 @given(traces())
 @example(every_kind())
+@example(fan_out())
 def test_a_line_is_read_only_as_write_trace_writes_it(name, trace):
     """A variant of an event line that is not canonical JSON is rejected, naming
     its line; a variant that is read back is written back as it was."""
@@ -435,4 +448,71 @@ def test_an_int_too_long_to_convert_is_a_format_error():
     lines = written(every_kind()).splitlines(keepends=True)
     lines[7] = lines[7].replace('"step":4', '"step":' + "9" * 5000)
     with pytest.raises(TraceFormatError, match="line 8:"):
+        read_trace(lines)
+
+
+# ---------------------------------------------------------------------------
+# A line that repeats a head read at its step takes that head's values
+# ---------------------------------------------------------------------------
+
+GROUPS = (1, 5, 7)  # the index in fan_out()'s lines of each group's first line
+
+
+def test_only_the_first_line_of_a_head_group_is_matched():
+    lines = written(fan_out()).splitlines(keepends=True)
+    pattern, matched = mtrace._LINE, []
+
+    def fullmatch(line: str):
+        matched.append(line)
+        return pattern.fullmatch(line)
+
+    with mock.patch.object(mtrace, "_LINE", mock.Mock(fullmatch=fullmatch)):
+        assert read_trace(lines).events == fan_out().events
+    assert matched == [*(lines[index] for index in GROUPS), lines[-1]]
+
+
+# name -> the text after the last `,"to":` of an event line, given n; each
+# gives both lines of a head group the same text
+TAILS = {
+    "canonical": None,  # the line as written
+    "process n": lambda n: f"{n}}}\n",
+    "leading zero": lambda n: "01}\n",
+    "minus zero": lambda n: "-0}\n",
+    "negative": lambda n: "-5}\n",
+    "unicode digit": lambda n: "1\u0661}\n",  # ARABIC-INDIC DIGIT ONE
+    "true": lambda n: "true}\n",
+    "float": lambda n: "1.0}\n",
+    "trailing spaces": lambda n: "1}  \n",
+    "no newline": lambda n: "1}",  # mid-file: the line runs into the next one
+}
+
+
+@pytest.mark.parametrize("name", TAILS)
+def test_a_repeated_head_is_read_as_its_pattern_reads_it(name):
+    """A tail on the first line of a head group, read by its pattern, and on the
+    second, whose head is then known, is read the same: back to the trace when
+    canonical, else rejected with the same text after the line's number."""
+    trace = fan_out()
+    lines = written(trace).splitlines(keepends=True)
+    if TAILS[name] is None:
+        assert read_trace(io.StringIO("".join(lines))).events == trace.events
+        return
+    for first in GROUPS:
+        errors = []
+        for index in (first, first + 1):
+            head, cut, _ = lines[index].rpartition(',"to":')
+            changed = [*lines[:index], head + cut + TAILS[name](trace.n), *lines[index + 1:]]
+            with pytest.raises(TraceFormatError) as caught:
+                read_trace(io.StringIO("".join(changed)))
+            number, _, text = str(caught.value).partition(": ")
+            assert number == f"line {index + 1}"
+            errors.append(text)
+        assert errors[0] == errors[1], errors
+
+
+def test_a_head_of_an_earlier_step_is_not_kept():
+    lines = written(fan_out()).splitlines(keepends=True)
+    lines.insert(6, lines[1])  # a send of step 1, after a deliver of step 2
+    with pytest.raises(TraceFormatError, match=re.escape(
+            "line 7: bad 'send' event: ValueError('1 is not a step in [2, 10]')")):
         read_trace(lines)
