@@ -143,27 +143,35 @@ class TraceSummary:
 
 
 def summarize(trace: Trace) -> TraceSummary:
-    """Walk `trace.events` once and keep what every audit reads."""
+    """Walk `trace.events` once and keep what every audit reads.
+
+    Events are dispatched on their exact class (`Send`, `TimerFired`,
+    `LeaderChange`), as `netsim.run` and `read_trace` build them; an
+    instance of a subclass is skipped like any other event."""
     outputs: dict[int, tuple[int | None, int]] = {}
     messages: dict[MessageId, list] = {}
     last_send: dict[tuple[int, int], int] = {}
     receive_fires: dict[tuple[int, int], int] = {}
     last_receive_fire: dict[int, int] = {}
     for ev in trace.events:
-        if isinstance(ev, Send):
-            msg = messages.get(ev.mid)
+        cls = type(ev)
+        if cls is Send:
+            step, mid, kind, src, dst = ev
+            msg = messages.get(mid)
             if msg is None:
-                messages[ev.mid] = [ev.step, ev.kind, 1]
+                messages[mid] = [step, kind, 1]
             else:
                 msg[2] += 1
-            last_send[ev.src, ev.dst] = ev.step
-        elif isinstance(ev, TimerFired):
-            if ev.proc != ev.subject:
-                key = (ev.proc, ev.subject)
+            last_send[src, dst] = step
+        elif cls is TimerFired:
+            step, proc, subject = ev
+            if proc != subject:
+                key = (proc, subject)
                 receive_fires[key] = receive_fires.get(key, 0) + 1
-                last_receive_fire[ev.subject] = ev.step
-        elif isinstance(ev, LeaderChange):
-            outputs[ev.proc] = (ev.new, ev.step)
+                last_receive_fire[subject] = step
+        elif cls is LeaderChange:
+            step, proc, _, new = ev
+            outputs[proc] = (new, step)
     return TraceSummary(
         horizon=trace.horizon,
         correct=trace.correct_processes(),

@@ -36,7 +36,8 @@ at s + timeout.
 
 `run` pauses the cyclic garbage collector while it builds the event list
 (see `core.collector_paused`): its loop makes no reference cycles, and
-nothing observable changes.
+nothing observable changes.  The trace it returns is left in the
+collector's oldest generation, so no young collection walks it afterwards.
 """
 
 from __future__ import annotations

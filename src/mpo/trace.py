@@ -27,7 +27,9 @@ never equals a `Drop` with the same fields, nor a plain tuple.  They hash
 as tuples do.  The reader builds them with `direct` (see
 `core.equal_within_class`).  `read_trace` pauses the cyclic garbage
 collector while it builds the event list (see `core.collector_paused`):
-its loop makes no reference cycles, and nothing observable changes.
+its loop makes no reference cycles, and nothing observable changes.  The
+trace it returns is left in the collector's oldest generation, so no young
+collection walks it afterwards.
 """
 
 from __future__ import annotations
