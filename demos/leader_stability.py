@@ -7,7 +7,7 @@ Per round that is a Bernoulli trial, so the single-hop count follows a
 geometric law with mean q/(1-q), q = p^(n-1) - checked below.  Then the
 two regimes are swept in n: direct-channel stability collapses while
 path stability explodes.  Finally the shrinking-p regime holds the
-bitimely witness's retention odds flat even as p(n) -> 0.
+bitimely witness's mean retention near its target even as p(n) -> 0.
 """
 
 from mpo.montecarlo import Mode, mc_stability, stability_sweep
@@ -38,7 +38,8 @@ def main(trials: int = 3_000):
     for row in stability_sweep(3.0, (8, 16, 32, 64), trials=trials, seed=SEED,
                                cap=2_000):
         print(f"{row.n:>4}  {row.p:>8.3f}  {row.mean:>18.3f}")
-    print("p(n) falls toward zero yet the retention level stays put")
+    print("p(n) falls toward zero yet the retention stays near the target,"
+          " approaching it from above")
 
 
 if __name__ == "__main__":

@@ -12,7 +12,6 @@ and its text forms live in `scenario_io`, and every `Trace` holds one.
 from .arborescence import (
     Arborescence,
     TopologyError,
-    WeightedDigraph,
     brute_force_min_arborescence,
     min_arborescence,
     validate_arborescence,

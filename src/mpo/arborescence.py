@@ -6,6 +6,11 @@ channel-fault weights) as the routing tree for heartbeat traffic, so the
 result must be deterministic: among equal-weight optima we always return
 the same tree.
 
+A digraph on nodes 0..n-1 is its n x n weights w, w[u][v] >= 0 for the
+edge u -> v (fault counters in the protocol), and its topology in the
+form of `Scenario.adjacency`: entry u is the set of u's out-neighbours,
+and None means complete.  A self-loop is never an edge.
+
 Determinism is obtained by totally ordering edges with an exact integer
 key that embeds the edge identity below the weight:
 
@@ -30,42 +35,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+
+Adjacency = tuple[frozenset[int], ...] | None
 
 
 class TopologyError(ValueError):
     """The root cannot reach every node, so no spanning arborescence exists."""
-
-
-@dataclass(eq=False)
-class WeightedDigraph:
-    """Complete-by-default weighted digraph on nodes 0..n-1.
-
-    `present(u, v)` restricts the edge set for non-complete topologies;
-    None means every ordered pair (u != v) is an edge.  Weights are
-    non-negative integers (fault counters in the protocol).
-    """
-
-    n: int
-    w: list[list[int]]
-    present: Callable[[int, int], bool] | None = None
-
-    def has_edge(self, u: int, v: int) -> bool:
-        if u == v:
-            return False
-        return self.present is None or self.present(u, v)
-
-    def edges(self) -> Iterable[tuple[int, int]]:
-        for u in range(self.n):
-            for v in range(self.n):
-                if self.has_edge(u, v):
-                    yield u, v
-
-    @classmethod
-    def complete(cls, n: int, w: list[list[int]] | None = None) -> "WeightedDigraph":
-        if w is None:
-            w = [[0] * n for _ in range(n)]
-        return cls(n=n, w=w)
 
 
 @dataclass
@@ -95,22 +70,26 @@ def _edge_key(n: int, weight: int, u: int, v: int, root: int) -> int:
     return (weight << (n * n)) | (1 << (((u - root) % n) * n + v))
 
 
-def _reachable_from(g: WeightedDigraph, root: int) -> set[int]:
+def _edges(n: int, adjacency: Adjacency) -> list[tuple[int, int]]:
+    """Every edge u -> v of the topology, in order of u, then v."""
+    return [(u, v) for u in range(n) for v in range(n)
+            if u != v and (adjacency is None or v in adjacency[u])]
+
+
+def _check_instance(n: int, root: int, edges: list[tuple[int, int]]) -> None:
+    if not 0 <= root < n:
+        raise TopologyError(f"root {root} outside [0, {n})")
+    out: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        out[u].append(v)
     seen = {root}
     frontier = [root]
     while frontier:
-        u = frontier.pop()
-        for v in range(g.n):
-            if v not in seen and g.has_edge(u, v):
+        for v in out[frontier.pop()]:
+            if v not in seen:
                 seen.add(v)
                 frontier.append(v)
-    return seen
-
-
-def _check_instance(g: WeightedDigraph, root: int) -> None:
-    if not 0 <= root < g.n:
-        raise TopologyError(f"root {root} outside [0, {g.n})")
-    missing = set(range(g.n)) - _reachable_from(g, root)
+    missing = set(range(n)) - seen
     if missing:
         raise TopologyError(f"nodes {sorted(missing)} unreachable from root {root}")
 
@@ -186,72 +165,69 @@ def _solve(num: int, root: int, arcs: list[tuple[int, int, int, int]]) -> set[in
     return chosen
 
 
-def min_arborescence(g: WeightedDigraph, root: int) -> Arborescence:
+def min_arborescence(w: list[list[int]], root: int,
+                     adjacency: Adjacency = None) -> Arborescence:
     """Minimum-weight spanning arborescence rooted at `root`, canonical under ties."""
-    _check_instance(g, root)
-    arcs: list[tuple[int, int, int, int]] = []
-    endpoints: list[tuple[int, int]] = []
-    for u, v in g.edges():
-        arcs.append((u, v, _edge_key(g.n, g.w[u][v], u, v, root), len(endpoints)))
-        endpoints.append((u, v))
-    chosen = _solve(g.n, root, arcs)
-    parent_of = {v: u for u, v in (endpoints[a] for a in chosen)}
-    weight = sum(g.w[u][v] for v, u in parent_of.items())
+    n = len(w)
+    edges = _edges(n, adjacency)
+    _check_instance(n, root, edges)
+    arcs = [(u, v, _edge_key(n, w[u][v], u, v, root), i) for i, (u, v) in enumerate(edges)]
+    chosen = _solve(n, root, arcs)
+    parent_of = {v: u for u, v in (edges[a] for a in chosen)}
+    weight = sum(w[u][v] for v, u in parent_of.items())
     return Arborescence(root=root, parent_of=parent_of, weight=weight)
 
 
-def brute_force_min_arborescence(g: WeightedDigraph, root: int) -> Arborescence:
+def _acyclic(parent_of: dict[int, int], root: int, n: int) -> bool:
+    """True iff every node's chain of parents reaches `root` within n hops."""
+    for v in parent_of:
+        x, hops = v, 0
+        while x != root:
+            x = parent_of[x]
+            hops += 1
+            if hops > n:
+                return False
+    return True
+
+
+def brute_force_min_arborescence(w: list[list[int]], root: int,
+                                 adjacency: Adjacency = None) -> Arborescence:
     """Exhaustive oracle: enumerate every parent assignment, same canonical order.
 
     Restricted to n <= 6 (n**(n-1) candidate maps).
     """
-    if g.n > 6:
-        raise ValueError(f"brute force refuses n={g.n} > 6")
-    _check_instance(g, root)
-    others = [v for v in range(g.n) if v != root]
-    in_choices = [
-        [u for u in range(g.n) if g.has_edge(u, v)] for v in others
-    ]
+    n = len(w)
+    if n > 6:
+        raise ValueError(f"brute force refuses n={n} > 6")
+    edges = _edges(n, adjacency)
+    _check_instance(n, root, edges)
+    others = [v for v in range(n) if v != root]
+    in_choices = [[u for u, head in edges if head == v] for v in others]
     best_key: int | None = None
     best_map: dict[int, int] | None = None
     for combo in itertools.product(*in_choices):
         parent = dict(zip(others, combo))
-        ok = True
-        for v in others:
-            x, hops = v, 0
-            while x != root:
-                x = parent[x]
-                hops += 1
-                if hops > g.n:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
+        if not _acyclic(parent, root, n):
             continue
-        key = sum(_edge_key(g.n, g.w[u][v], u, v, root) for v, u in parent.items())
+        key = sum(_edge_key(n, w[u][v], u, v, root) for v, u in parent.items())
         if best_key is None or key < best_key:
             best_key = key
             best_map = parent
     if best_map is None:
         raise TopologyError("no spanning arborescence exists")
-    weight = sum(g.w[u][v] for v, u in best_map.items())
+    weight = sum(w[u][v] for v, u in best_map.items())
     return Arborescence(root=root, parent_of=dict(best_map), weight=weight)
 
 
-def validate_arborescence(a: Arborescence, g: WeightedDigraph) -> bool:
-    """True iff `a` spans g, is acyclic, uses only present edges, and its
-    stored weight matches the recomputed edge-weight sum."""
-    if not a.spans(g.n):
+def validate_arborescence(a: Arborescence, w: list[list[int]],
+                          adjacency: Adjacency = None) -> bool:
+    """True iff `a` spans the digraph, is acyclic, uses only its edges, and
+    its stored weight matches the recomputed edge-weight sum."""
+    n = len(w)
+    if not a.spans(n):
         return False
-    for v, u in a.parent_of.items():
-        if not g.has_edge(u, v):
-            return False
-    for v in a.parent_of:
-        x, hops = v, 0
-        while x != a.root:
-            x = a.parent_of[x]
-            hops += 1
-            if hops > g.n:
-                return False
-    return a.weight == sum(g.w[u][v] for v, u in a.parent_of.items())
+    edges = set(_edges(n, adjacency))
+    if any((u, v) not in edges for v, u in a.parent_of.items()):
+        return False
+    return (_acyclic(a.parent_of, a.root, n)
+            and a.weight == sum(w[u][v] for v, u in a.parent_of.items()))

@@ -29,7 +29,13 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any
 
-from .core import ConfigurationError, MessageId, Packet
+from .core import ConfigurationError, MessageId, Packet, check_int
+
+
+def _check_ints(model: object) -> None:
+    """Every field of `model` is an int (see `core.check_int`)."""
+    for name, value in vars(model).items():
+        check_int(name, value)
 
 
 def _check_delay(lo: int, hi: int) -> None:
@@ -45,6 +51,7 @@ class Timely:
     bound: int
 
     def __post_init__(self) -> None:
+        _check_ints(self)
         if self.bound < 1:
             raise ConfigurationError(f"bound must be >= 1, got {self.bound}")
 
@@ -61,6 +68,7 @@ class EventuallyTimely:
     unreliable_until: int = 0
 
     def __post_init__(self) -> None:
+        _check_ints(self)
         if self.bound < 1:
             raise ConfigurationError(f"bound must be >= 1, got {self.bound}")
         if self.unreliable_until < 0:
@@ -74,6 +82,7 @@ class DropPattern:
     drop: int
 
     def __post_init__(self) -> None:
+        _check_ints(self)
         if self.drop < 0:
             raise ConfigurationError(f"drop must be >= 0, got {self.drop}")
 
@@ -104,6 +113,8 @@ class FairLossy:
     delay_max: int = 8
 
     def __post_init__(self) -> None:
+        check_int("delay_min", self.delay_min)
+        check_int("delay_max", self.delay_max)
         _check_delay(self.delay_min, self.delay_max)
 
 
@@ -125,6 +136,7 @@ class StronglyNonTimely:
     quiet_until: int = 0
 
     def __post_init__(self) -> None:
+        _check_ints(self)
         if not 1 <= self.burst <= self.window_cap:
             raise ConfigurationError(
                 f"burst and cap need 1 <= burst <= cap, got {self.burst}, {self.window_cap}"
@@ -161,6 +173,7 @@ class GeneralPropagation:
     def __post_init__(self) -> None:
         if not (0 <= self.p_reliable <= 1 and 0 <= self.p_timely <= 1):
             raise ConfigurationError("p_reliable and p_timely must lie in [0, 1]")
+        check_int("bound", self.bound)
         if self.bound < 1:
             raise ConfigurationError(f"bound must be >= 1, got {self.bound}")
         object.__setattr__(self, "p_reliable", float(self.p_reliable))

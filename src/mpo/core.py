@@ -39,11 +39,18 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterator, NamedTuple
 
-from .arborescence import Arborescence, TopologyError, WeightedDigraph, min_arborescence
+from .arborescence import Arborescence, TopologyError, min_arborescence
 
 
 class ConfigurationError(ValueError):
     """Invalid process id, network size, timer constant or model parameter."""
+
+
+def check_int(what: str, value: object, error: type[ValueError] = ConfigurationError) -> None:
+    """Raise `error` unless `value` is an int, as a trace file's fields are
+    read: a bool or a float is not one, whatever its value."""
+    if type(value) is not int:
+        raise error(f"{what} must be an integer, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +242,8 @@ class TimerConfig:
     timeout_increment: int = 1
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            check_int(name, value)
         if self.sender_timeout < 1 or self.initial_receiver_timeout < 1:
             raise ConfigurationError("timeouts must be positive")
         if self.timeout_increment < 1:
@@ -279,13 +288,8 @@ class MpoState:
         None when the topology gives p no path to some process."""
         if self._arb_cache is not None and self._arb_cache[0] == self.edges_ver:
             return self._arb_cache[1]
-        present = None
-        if self.adjacency is not None:
-            adj = self.adjacency
-            present = lambda u, v: v in adj[u]  # noqa: E731
-        g = WeightedDigraph(n=self.n, w=self.edges, present=present)
         try:
-            arb = min_arborescence(g, self.p)
+            arb = min_arborescence(self.edges, self.p, self.adjacency)
         except TopologyError:
             arb = None
         self._arb_cache = (self.edges_ver, arb)

@@ -51,7 +51,7 @@ from typing import Any, Callable, Mapping, TextIO
 
 from .channels import (ChannelModel, GeneralPropagation, Timely, model_from_spec,
                        model_to_spec, read_float, read_int)
-from .core import TimerConfig
+from .core import TimerConfig, check_int
 
 
 class ScenarioError(ValueError):
@@ -93,6 +93,8 @@ class Scenario:
             {o: MappingProxyType(dict(pairs)) for o, pairs in self.origin_channels.items()}))
         object.__setattr__(self, "labels", MappingProxyType(
             dict(sorted((str(k), str(v)) for k, v in self.labels.items()))))
+        for name in ("n", "horizon", "seed"):
+            check_int(name, getattr(self, name), ScenarioError)
         n = self.n
         if n < 2:
             raise ScenarioError(f"n must be >= 2, got {n}")
@@ -100,10 +102,13 @@ class Scenario:
             raise ScenarioError("horizon must be positive")
         _check_pairs("channels", self.channels, n)
         for origin, pairs in self.origin_channels.items():
+            check_int("origin_channels origin", origin, ScenarioError)
             if not 0 <= origin < n:
                 raise ScenarioError(f"origin_channels: unknown origin {origin}")
             _check_pairs(f"origin_channels {origin}", pairs, n)
         for p, step in self.crash_schedule.items():
+            check_int("crashed process", p, ScenarioError)
+            check_int(f"crash step of process {p}", step, ScenarioError)
             if not 0 <= p < n:
                 raise ScenarioError(f"crash of unknown process {p}")
             if not 1 <= step <= self.horizon:
@@ -115,6 +120,8 @@ class Scenario:
                     f" got {len(self.adjacency)} for n={n}"
                 )
             for p, neighbors in enumerate(self.adjacency):
+                for q in neighbors:
+                    check_int(f"adjacency: process {p}'s neighbour", q, ScenarioError)
                 bad = sorted(q for q in neighbors if not 0 <= q < n)
                 if bad:
                     raise ScenarioError(f"adjacency: process {p} lists unknown process {bad[0]}")
@@ -150,6 +157,8 @@ class Scenario:
 
 def _check_pairs(where: str, pairs, n: int) -> None:
     for (u, v) in pairs:
+        check_int(f"{where}: channel pair process", u, ScenarioError)
+        check_int(f"{where}: channel pair process", v, ScenarioError)
         if not (0 <= u < n and 0 <= v < n) or u == v:
             raise ScenarioError(f"{where}: bad channel pair ({u}, {v})")
 

@@ -297,6 +297,20 @@ class TestCliSweepAndDemo:
         assert "converged: leader=0" in out
         assert "crashes: 2@4000, 3@9000" in out
 
+    def test_demo_that_does_not_converge_fails(self, capsys):
+        rc = main(["demo", "--n", "3", "--horizon", "100"])
+        assert rc == 1
+        assert "did not converge" in capsys.readouterr().out
+
+    def test_demo_scenario_replays_to_its_trace(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("MPO_SEED", raising=False)  # `run` would take it as --seed
+        demo, scn, replay = (str(tmp_path / f) for f in ("demo.jsonl", "demo.ini", "run.jsonl"))
+        assert main(["demo", "--n", "4", "--seed", "2", "--horizon", "6000",
+                     "--out", demo, "--emit-scenario", scn]) == 0
+        assert main(["run", "--scenario", scn, "--out", replay]) == 0
+        with open(demo, "rb") as a, open(replay, "rb") as b:
+            assert a.read() == b.read()
+
     def test_env_seed_respected(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("MPO_SEED", "77")
         rc = main(["demo", "--n", "3", "--horizon", "5000"])
@@ -357,6 +371,15 @@ BAD_INPUTS = {
     "unknown origin": ("[channels:origin=9]\n5->6 = timely b=2\n", ["run"], {}),
     "origin pair out of range": ("[channels:origin=1]\n5->6 = timely b=2\n", ["run"], {}),
     "neighbour out of range": ("[topology]\n0 = 1 7\n1 = 0\n2 = 0\n", ["run"], {}),
+    "topology keyed 1..n": ("[topology]\n1 = 2\n2 = 3\n3 = 1\n", ["run"], {}),
+    "scenario key foo": ("foo = 1\n", ["run"], {}),
+    "origin section default": ("[channels:origin=1]\ndefault = timely b=2\n", ["run"], {}),
+    "unknown section": ("[bogus]\nx = 1\n", ["run"], {}),
+    "channel spec empty": ("[channels]\n0->1 =\n", ["run"], {}),
+    "channel spec timely 3": ("[channels]\n0->1 = timely 3\n", ["run"], {}),
+    "channel spec timely": ("[channels]\n0->1 = timely\n", ["run"], {}),
+    "channel spec fair_lossy without policy": (
+        "[channels]\n0->1 = fair_lossy delay=1:2\n", ["run"], {}),
     "run horizon 0": (None, ["run", "--horizon", "0"], {}),
     "MPO_SEED not a number": (None, ["run"], {"MPO_SEED": "abc"}),
     "grid value": (None, ["mc", "--mode", "existence", "--n", "3,x", "--p", "0.5",
@@ -473,7 +496,8 @@ BAD_INPUTS = {
     "audit window -3": (_META + _FINAL, ["audit", "--window", "-3"], {}),
     "sweep n 1": (None, ["sweep", "--n", "1"], {}),
     "sweep target nan": (None, ["sweep", "--target", "nan", "--n", "4", "--trials", "10"], {}),
-    "sweep target 1e-300": (None, ["sweep", "--n", "2", "--trials", "1", "--target", "1e-300"], {}),
+    "sweep target 1e300": (None, ["sweep", "--n", "2", "--trials", "1", "--target", "1e300"], {}),
+    "sweep target 0": (None, ["sweep", "--n", "2", "--trials", "1", "--target", "0"], {}),
     "stability p above 1": (None, ["mc", "--mode", "stability-multi", "--n", "3",
                                    "--p", "1.5", "--trials", "10"], {}),
     "stability cap 0": (None, ["mc", "--mode", "stability-multi", "--n", "3", "--p", "0.5",
@@ -496,8 +520,17 @@ BAD_INPUTS = {
 
 # row -> what stderr names: for the rows of one bad event line, a line not in
 # the writer's form or a field of one that fails its check; for a file that is
-# not UTF-8, the offset of its first bad byte; for a seed, the seed
+# not UTF-8, the offset of its first bad byte; for a seed, the seed; for a bad
+# section, key or channel spec of a scenario file, the rule it breaks
 EVENT_ERRORS = {
+    "topology keyed 1..n": "keyed 0..n-1",
+    "scenario key foo": "unknown key 'foo'",
+    "origin section default": "per-origin sections take no default",
+    "unknown section": "unknown section [bogus]",
+    "channel spec empty": "empty channel spec",
+    "channel spec timely 3": "expected key=value, got '3'",
+    "channel spec timely": "timely needs b=",
+    "channel spec fair_lossy without policy": "fair_lossy needs drop= or q=",
     "mc seed -1": "seed=-1",
     "sweep seed -1": "seed=-1",
     "scenario file not UTF-8": "not UTF-8 at byte 0",

@@ -9,10 +9,16 @@ collector as it found it."""
 
 import gc
 import io
+import json
+import os
+import subprocess
+import sys
+import textwrap
 import weakref
 
 import pytest
 
+import mpo
 from mpo import netsim
 from mpo import trace as mtrace
 from mpo.channels import Lossy, Timely
@@ -111,6 +117,30 @@ def test_the_collector_is_left_as_it_was_found(enabled):
         assert as_found()
     finally:
         (gc.enable if was else gc.disable)()
+
+
+def test_a_fresh_interpreter_ends_with_the_collector_as_it_began():
+    # the tests above run after earlier calls, so a change to the collector
+    # that every call makes alike is already in the state they compare with
+    script = textwrap.dedent("""
+        import gc, io, json
+        def state():
+            return [gc.isenabled(), list(gc.get_threshold()), gc.get_freeze_count()]
+        began = state()
+        from mpo.netsim import preset_dependable, run
+        from mpo.trace import read_trace, write_trace
+        for _ in range(2):
+            buf = io.StringIO()
+            write_trace(run(preset_dependable(4, 1, horizon=2000)), buf)
+            read_trace(buf.getvalue().splitlines(keepends=True))
+        print(json.dumps([began, state()]))
+    """)
+    src = os.path.dirname(os.path.dirname(mpo.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": path}).stdout
+    began, ended = json.loads(out)
+    assert ended == began
 
 
 def _young_ids() -> set[int]:

@@ -331,3 +331,11 @@ class TestSweep:
         # retention odds pinned by the regime: no growth or decay with n
         assert max(means) <= 4 * min(means)
         assert 0.01 < min(means) and max(means) < 10.0
+
+    def test_means_approach_the_target(self):
+        # 1 + 1/t in the regime: connectivity tends to t/(1 + t), so the
+        # mean retention tends to t, from above
+        target = 3.0
+        rows = stability_sweep(target, (16, 32), trials=2_000, seed=7, cap=2_000)
+        assert all(r.censored == 0 for r in rows)
+        assert all(target <= r.mean <= 2 * target for r in rows), rows

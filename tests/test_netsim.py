@@ -17,7 +17,7 @@ from mpo.channels import (
     Timely,
     suppression_windows,
 )
-from mpo.core import TimerConfig
+from mpo.core import ConfigurationError, TimerConfig
 from mpo.netsim import (
     GeneralPropagation,
     Scenario,
@@ -343,6 +343,51 @@ class TestGeneralPropagation:
         sends = [ev for ev in trace.events if isinstance(ev, tr.Send)]
         assert len(calls) == len(sends) > 0
         assert calls.count(None) == sum(isinstance(ev, tr.Drop) for ev in trace.events)
+
+
+# every integer field, built with the value under test: (builder, its error)
+INT_FIELDS = {
+    "n": (lambda v: Scenario(n=v, horizon=100), ScenarioError),
+    "horizon": (lambda v: Scenario(n=3, horizon=v), ScenarioError),
+    "seed": (lambda v: Scenario(n=3, horizon=100, seed=v), ScenarioError),
+    "crashed process": (lambda v: Scenario(n=3, horizon=100, crash_schedule={v: 5}),
+                        ScenarioError),
+    "crash step": (lambda v: Scenario(n=3, horizon=100, crash_schedule={1: v}), ScenarioError),
+    "adjacency id": (lambda v: Scenario(n=3, horizon=100, adjacency=(
+        frozenset({v, 1}), frozenset({0}), frozenset({0}))), ScenarioError),
+    "channel pair id": (lambda v: Scenario(n=3, horizon=100, channels={(v, 0): Lossy()}),
+                        ScenarioError),
+    "channel origin": (lambda v: Scenario(n=3, horizon=100, origin_channels={v: {}}),
+                       ScenarioError),
+    "sender_timeout": (lambda v: TimerConfig(sender_timeout=v), ConfigurationError),
+    "initial_receiver_timeout": (lambda v: TimerConfig(initial_receiver_timeout=v),
+                                 ConfigurationError),
+    "timeout_increment": (lambda v: TimerConfig(timeout_increment=v), ConfigurationError),
+    "timely bound": (lambda v: Timely(v), ConfigurationError),
+    "eventually_timely bound": (lambda v: EventuallyTimely(v), ConfigurationError),
+    "eventually_timely until": (lambda v: EventuallyTimely(2, v), ConfigurationError),
+    "drop": (lambda v: DropPattern(v), ConfigurationError),
+    "fair_lossy delay_min": (lambda v: FairLossy(DropPattern(1), v, 8), ConfigurationError),
+    "fair_lossy delay_max": (lambda v: FairLossy(DropPattern(1), 1, v), ConfigurationError),
+    "burst": (lambda v: StronglyNonTimely(burst=v), ConfigurationError),
+    "window_cap": (lambda v: StronglyNonTimely(burst=1, window_cap=v), ConfigurationError),
+    "strongly_non_timely delay_min": (lambda v: StronglyNonTimely(delay_min=v),
+                                      ConfigurationError),
+    "strongly_non_timely delay_max": (lambda v: StronglyNonTimely(delay_max=v),
+                                      ConfigurationError),
+    "quiet_until": (lambda v: StronglyNonTimely(quiet_until=v), ConfigurationError),
+    "propagation bound": (lambda v: GeneralPropagation(0.9, 0.6, bound=v), ConfigurationError),
+}
+
+
+@pytest.mark.parametrize("value", [2.0, True], ids=["float", "bool"])
+@pytest.mark.parametrize("field", INT_FIELDS)
+def test_a_non_int_integer_field_is_rejected(field, value):
+    # what a trace file's reader would reject, so no run could be read back
+    build, error = INT_FIELDS[field]
+    build(2)
+    with pytest.raises(error, match="must be an integer"):
+        build(value)
 
 
 class TestScenarioPlumbing:
