@@ -29,19 +29,14 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any
 
-from .core import ConfigurationError, MessageId, Packet, check_int
+from .core import ConfigurationError, MessageId, Packet, check_ints
 
 
-def _check_ints(model: object) -> None:
-    """Every field of `model` is an int (see `core.check_int`)."""
-    for name, value in vars(model).items():
-        check_int(name, value)
-
-
-def _check_delay(lo: int, hi: int) -> None:
-    # a delivery is never earlier than the step after the send
-    if not 1 <= lo <= hi:
-        raise ConfigurationError(f"delay needs 1 <= min <= max, got {lo}:{hi}")
+def _check_number(what: str, value: object) -> None:
+    """Raise ConfigurationError unless `value` is an int or a float: a bool
+    is neither, as `core.check_int` reads them."""
+    if type(value) not in (int, float):
+        raise ConfigurationError(f"{what} must be a number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -51,9 +46,7 @@ class Timely:
     bound: int
 
     def __post_init__(self) -> None:
-        _check_ints(self)
-        if self.bound < 1:
-            raise ConfigurationError(f"bound must be >= 1, got {self.bound}")
+        check_ints(self, bound=1)
 
 
 @dataclass(frozen=True)
@@ -68,11 +61,7 @@ class EventuallyTimely:
     unreliable_until: int = 0
 
     def __post_init__(self) -> None:
-        _check_ints(self)
-        if self.bound < 1:
-            raise ConfigurationError(f"bound must be >= 1, got {self.bound}")
-        if self.unreliable_until < 0:
-            raise ConfigurationError(f"until must be >= 0, got {self.unreliable_until}")
+        check_ints(self, bound=1, unreliable_until=0)
 
 
 @dataclass(frozen=True)
@@ -82,9 +71,7 @@ class DropPattern:
     drop: int
 
     def __post_init__(self) -> None:
-        _check_ints(self)
-        if self.drop < 0:
-            raise ConfigurationError(f"drop must be >= 0, got {self.drop}")
+        check_ints(self, drop=0)
 
 
 @dataclass(frozen=True)
@@ -95,6 +82,7 @@ class DeliverProb:
     q: float
 
     def __post_init__(self) -> None:
+        _check_number("q", self.q)
         if not 0 < self.q <= 1:
             raise ConfigurationError(f"q must lie in (0, 1], got {self.q}")
         object.__setattr__(self, "q", float(self.q))
@@ -113,9 +101,11 @@ class FairLossy:
     delay_max: int = 8
 
     def __post_init__(self) -> None:
-        check_int("delay_min", self.delay_min)
-        check_int("delay_max", self.delay_max)
-        _check_delay(self.delay_min, self.delay_max)
+        if not isinstance(self.policy, (DropPattern, DeliverProb)):
+            raise ConfigurationError(
+                f"policy must be a DropPattern or a DeliverProb, got {self.policy!r}")
+        # a delivery is never earlier than the step after the send
+        check_ints(self, delay_min=1, delay_max=self.delay_min)
 
 
 @dataclass(frozen=True)
@@ -136,14 +126,8 @@ class StronglyNonTimely:
     quiet_until: int = 0
 
     def __post_init__(self) -> None:
-        _check_ints(self)
-        if not 1 <= self.burst <= self.window_cap:
-            raise ConfigurationError(
-                f"burst and cap need 1 <= burst <= cap, got {self.burst}, {self.window_cap}"
-            )
-        _check_delay(self.delay_min, self.delay_max)
-        if self.quiet_until < 0:
-            raise ConfigurationError(f"quiet must be >= 0, got {self.quiet_until}")
+        check_ints(self, burst=1, window_cap=self.burst, delay_min=1,
+                   delay_max=self.delay_min, quiet_until=0)
 
 
 @dataclass(frozen=True)
@@ -171,11 +155,11 @@ class GeneralPropagation:
     bound: int = 4
 
     def __post_init__(self) -> None:
+        _check_number("p_reliable", self.p_reliable)
+        _check_number("p_timely", self.p_timely)
         if not (0 <= self.p_reliable <= 1 and 0 <= self.p_timely <= 1):
             raise ConfigurationError("p_reliable and p_timely must lie in [0, 1]")
-        check_int("bound", self.bound)
-        if self.bound < 1:
-            raise ConfigurationError(f"bound must be >= 1, got {self.bound}")
+        check_ints(self, bound=1)
         object.__setattr__(self, "p_reliable", float(self.p_reliable))
         object.__setattr__(self, "p_timely", float(self.p_timely))
 

@@ -53,6 +53,17 @@ def check_int(what: str, value: object, error: type[ValueError] = ConfigurationE
         raise error(f"{what} must be an integer, got {value!r}")
 
 
+def check_ints(obj: object, error: type[ValueError] = ConfigurationError, **lows: int) -> None:
+    """`check_int` each named field of `obj` in keyword order, then raise
+    `error("<field> must be >= <bound>, got <value>")` if it is below its
+    bound, which may be an earlier field's value (`window_cap=self.burst`)."""
+    for name, low in lows.items():
+        value = getattr(obj, name)
+        check_int(name, value, error)
+        if value < low:
+            raise error(f"{name} must be >= {low}, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # Messages and packets
 # ---------------------------------------------------------------------------
@@ -242,12 +253,7 @@ class TimerConfig:
     timeout_increment: int = 1
 
     def __post_init__(self) -> None:
-        for name, value in vars(self).items():
-            check_int(name, value)
-        if self.sender_timeout < 1 or self.initial_receiver_timeout < 1:
-            raise ConfigurationError("timeouts must be positive")
-        if self.timeout_increment < 1:
-            raise ConfigurationError("timeout_increment must be positive")
+        check_ints(self, sender_timeout=1, initial_receiver_timeout=1, timeout_increment=1)
 
 
 # ---------------------------------------------------------------------------

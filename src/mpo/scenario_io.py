@@ -51,7 +51,7 @@ from typing import Any, Callable, Mapping, TextIO
 
 from .channels import (ChannelModel, GeneralPropagation, Timely, model_from_spec,
                        model_to_spec, read_float, read_int)
-from .core import TimerConfig, check_int
+from .core import TimerConfig, check_int, check_ints
 
 
 class ScenarioError(ValueError):
@@ -93,13 +93,13 @@ class Scenario:
             {o: MappingProxyType(dict(pairs)) for o, pairs in self.origin_channels.items()}))
         object.__setattr__(self, "labels", MappingProxyType(
             dict(sorted((str(k), str(v)) for k, v in self.labels.items()))))
-        for name in ("n", "horizon", "seed"):
-            check_int(name, getattr(self, name), ScenarioError)
+        check_ints(self, ScenarioError, n=2, horizon=1)
+        check_int("seed", self.seed, ScenarioError)
         n = self.n
-        if n < 2:
-            raise ScenarioError(f"n must be >= 2, got {n}")
-        if self.horizon < 1:
-            raise ScenarioError("horizon must be positive")
+        _check_type("timers", self.timers, TimerConfig, "a TimerConfig")
+        _check_type("default_channel", self.default_channel, ChannelModel, "a channel model")
+        _check_type("propagation", self.propagation, GeneralPropagation | None,
+                    "a GeneralPropagation or None")
         _check_pairs("channels", self.channels, n)
         for origin, pairs in self.origin_channels.items():
             check_int("origin_channels origin", origin, ScenarioError)
@@ -155,12 +155,18 @@ class Scenario:
         return fingerprint_scenario(self.to_dict())
 
 
+def _check_type(what: str, value: object, kind, label: str) -> None:
+    if not isinstance(value, kind):
+        raise ScenarioError(f"{what} must be {label}, got {value!r}")
+
+
 def _check_pairs(where: str, pairs, n: int) -> None:
-    for (u, v) in pairs:
+    for (u, v), model in pairs.items():
         check_int(f"{where}: channel pair process", u, ScenarioError)
         check_int(f"{where}: channel pair process", v, ScenarioError)
         if not (0 <= u < n and 0 <= v < n) or u == v:
             raise ScenarioError(f"{where}: bad channel pair ({u}, {v})")
+        _check_type(f"{where} ({u}, {v})", model, ChannelModel, "a channel model")
 
 
 def _entries(d: dict, key_fn, value_fn) -> dict:

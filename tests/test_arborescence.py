@@ -105,10 +105,21 @@ def test_validate_rejects_cycle_and_stale_weight():
     assert not validate_arborescence(stale, g)
 
 
+def test_validate_rejects_a_missing_node_and_an_edge_the_topology_lacks():
+    g = zeros(3)
+    assert not validate_arborescence(Arborescence(root=0, parent_of={1: 0}, weight=0), g)
+    chain = Arborescence(root=0, parent_of={1: 0, 2: 1}, weight=0)
+    assert validate_arborescence(chain, g)
+    no_1_to_2 = (frozenset({1, 2}), frozenset({0}), frozenset({0}))
+    assert not validate_arborescence(chain, g, no_1_to_2)
+
+
 def test_unreachable_root_raises():
     adjacency = (frozenset({1}), frozenset(), frozenset())
     with pytest.raises(TopologyError):
         min_arborescence(zeros(3), 0, adjacency)
+    with pytest.raises(TopologyError, match="root 3 outside"):
+        min_arborescence(zeros(3), root=3)
 
 
 def test_non_complete_topology_matches_oracle():

@@ -12,6 +12,8 @@ from mpo.channels import (
     Lossy,
     StronglyNonTimely,
     Timely,
+    model_to_spec,
+    read_float,
     schedule_delivery,
     suppression_windows,
 )
@@ -123,6 +125,10 @@ def test_snt_window_lengths_grow():
     lambda: GeneralPropagation(1.1, 0.5),
     lambda: GeneralPropagation(0.5, -0.1),
     lambda: GeneralPropagation(0.5, 0.5, bound=0),
+    lambda: DeliverProb(True),
+    lambda: DeliverProb("0.5"),
+    lambda: GeneralPropagation(True, 0.5),
+    lambda: GeneralPropagation(0.5, "x"),
 ])
 def test_model_parameters_checked_on_construction(build):
     with pytest.raises(ConfigurationError):
@@ -134,6 +140,14 @@ def test_unknown_model_is_a_type_error():
     for model in (object(), "timely b=4"):
         with pytest.raises(TypeError, match="unknown channel model"):
             schedule_delivery(model, alive_pkt(), 0, rng, ChannelState())
+        with pytest.raises(TypeError, match="unknown channel model"):
+            model_to_spec(model)
+
+
+def test_read_float_rejects_an_int_past_the_float_range():
+    assert read_float(10**300) == 1e300
+    with pytest.raises(ValueError, match="finite"):
+        read_float(10**400)
 
 
 def test_propagation_draws_a_message_graphs_with_its_first_packet():

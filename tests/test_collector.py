@@ -105,9 +105,12 @@ def test_the_collector_is_left_as_it_was_found(enabled):
         assert as_found()
         read_trace(lines)
         assert as_found()
-        # a channel model no scheduler knows: raised by the first send, inside the loop
+        # a channel model no scheduler knows, set past the Scenario's own check:
+        # raised by the first send, inside the loop
+        unknown = Scenario(n=2, horizon=100)
+        object.__setattr__(unknown, "default_channel", object())
         with pytest.raises(TypeError, match="unknown channel model"):
-            run(Scenario(n=2, horizon=100, default_channel=object()))
+            run(unknown)
         assert as_found()
         with pytest.raises(TraceFormatError, match="truncated"):
             read_trace(lines[:-1])

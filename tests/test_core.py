@@ -53,6 +53,10 @@ class TestInit:
         with pytest.raises(ConfigurationError):
             init_state(0, 1, CFG)
 
+    def test_adjacency_needs_a_list_per_process(self):
+        with pytest.raises(ConfigurationError, match="adjacency"):
+            init_state(0, 3, CFG, adjacency=(frozenset(),))
+
     def test_zeroed_tables(self):
         s = init_state(1, 3, TimerConfig(sender_timeout=7))
         assert s.phases == [0, 0, 0]
@@ -162,6 +166,11 @@ class TestReceiverTimeout:
         s.timers[2].reset()
         s, pkts = on_receiver_timeout(s, 2)
         assert pkts[0].payload == Failed(subject=2, reporter=1, parent=2)
+
+    def test_own_id_is_refused(self):
+        s = init_state(1, 3, CFG)
+        with pytest.raises(ValueError, match="own id"):
+            on_receiver_timeout(s, s.p)
 
 
 class TestReceive:

@@ -345,38 +345,47 @@ class TestGeneralPropagation:
         assert calls.count(None) == sum(isinstance(ev, tr.Drop) for ev in trace.events)
 
 
-# every integer field, built with the value under test: (builder, its error)
+# every integer field, built with the value under test: (builder, its error, the
+# least value it takes, or None where no lower bound alone says which it takes)
 INT_FIELDS = {
-    "n": (lambda v: Scenario(n=v, horizon=100), ScenarioError),
-    "horizon": (lambda v: Scenario(n=3, horizon=v), ScenarioError),
-    "seed": (lambda v: Scenario(n=3, horizon=100, seed=v), ScenarioError),
+    "n": (lambda v: Scenario(n=v, horizon=100), ScenarioError, 2),
+    "horizon": (lambda v: Scenario(n=3, horizon=v), ScenarioError, 1),
+    "seed": (lambda v: Scenario(n=3, horizon=100, seed=v), ScenarioError, None),
     "crashed process": (lambda v: Scenario(n=3, horizon=100, crash_schedule={v: 5}),
-                        ScenarioError),
-    "crash step": (lambda v: Scenario(n=3, horizon=100, crash_schedule={1: v}), ScenarioError),
+                        ScenarioError, 0),
+    "crash step": (lambda v: Scenario(n=3, horizon=100, crash_schedule={1: v}),
+                   ScenarioError, 1),
     "adjacency id": (lambda v: Scenario(n=3, horizon=100, adjacency=(
-        frozenset({v, 1}), frozenset({0}), frozenset({0}))), ScenarioError),
+        frozenset({v, 1}), frozenset({0}), frozenset({0}))), ScenarioError, 0),
     "channel pair id": (lambda v: Scenario(n=3, horizon=100, channels={(v, 0): Lossy()}),
-                        ScenarioError),
+                        ScenarioError, None),
     "channel origin": (lambda v: Scenario(n=3, horizon=100, origin_channels={v: {}}),
-                       ScenarioError),
-    "sender_timeout": (lambda v: TimerConfig(sender_timeout=v), ConfigurationError),
+                       ScenarioError, 0),
+    "sender_timeout": (lambda v: TimerConfig(sender_timeout=v), ConfigurationError, 1),
     "initial_receiver_timeout": (lambda v: TimerConfig(initial_receiver_timeout=v),
-                                 ConfigurationError),
-    "timeout_increment": (lambda v: TimerConfig(timeout_increment=v), ConfigurationError),
-    "timely bound": (lambda v: Timely(v), ConfigurationError),
-    "eventually_timely bound": (lambda v: EventuallyTimely(v), ConfigurationError),
-    "eventually_timely until": (lambda v: EventuallyTimely(2, v), ConfigurationError),
-    "drop": (lambda v: DropPattern(v), ConfigurationError),
-    "fair_lossy delay_min": (lambda v: FairLossy(DropPattern(1), v, 8), ConfigurationError),
-    "fair_lossy delay_max": (lambda v: FairLossy(DropPattern(1), 1, v), ConfigurationError),
-    "burst": (lambda v: StronglyNonTimely(burst=v), ConfigurationError),
-    "window_cap": (lambda v: StronglyNonTimely(burst=1, window_cap=v), ConfigurationError),
+                                 ConfigurationError, 1),
+    "timeout_increment": (lambda v: TimerConfig(timeout_increment=v), ConfigurationError, 1),
+    "timely bound": (lambda v: Timely(v), ConfigurationError, 1),
+    "eventually_timely bound": (lambda v: EventuallyTimely(v), ConfigurationError, 1),
+    "eventually_timely until": (lambda v: EventuallyTimely(2, v), ConfigurationError, 0),
+    "drop": (lambda v: DropPattern(v), ConfigurationError, 0),
+    "fair_lossy delay_min": (lambda v: FairLossy(DropPattern(1), v, 8), ConfigurationError, 1),
+    "fair_lossy delay_max": (lambda v: FairLossy(DropPattern(1), 1, v), ConfigurationError, 1),
+    "fair_lossy delay_max == delay_min": (lambda v: FairLossy(DropPattern(1), 2, v),
+                                          ConfigurationError, 2),
+    "burst": (lambda v: StronglyNonTimely(burst=v), ConfigurationError, 1),
+    "window_cap": (lambda v: StronglyNonTimely(burst=1, window_cap=v), ConfigurationError, 1),
+    "window_cap == burst": (lambda v: StronglyNonTimely(burst=2, window_cap=v),
+                            ConfigurationError, 2),
     "strongly_non_timely delay_min": (lambda v: StronglyNonTimely(delay_min=v),
-                                      ConfigurationError),
+                                      ConfigurationError, 1),
     "strongly_non_timely delay_max": (lambda v: StronglyNonTimely(delay_max=v),
-                                      ConfigurationError),
-    "quiet_until": (lambda v: StronglyNonTimely(quiet_until=v), ConfigurationError),
-    "propagation bound": (lambda v: GeneralPropagation(0.9, 0.6, bound=v), ConfigurationError),
+                                      ConfigurationError, 1),
+    "strongly_non_timely delay_max == delay_min": (
+        lambda v: StronglyNonTimely(delay_min=2, delay_max=v), ConfigurationError, 2),
+    "quiet_until": (lambda v: StronglyNonTimely(quiet_until=v), ConfigurationError, 0),
+    "propagation bound": (lambda v: GeneralPropagation(0.9, 0.6, bound=v),
+                          ConfigurationError, 1),
 }
 
 
@@ -384,10 +393,36 @@ INT_FIELDS = {
 @pytest.mark.parametrize("field", INT_FIELDS)
 def test_a_non_int_integer_field_is_rejected(field, value):
     # what a trace file's reader would reject, so no run could be read back
-    build, error = INT_FIELDS[field]
+    build, error, _ = INT_FIELDS[field]
     build(2)
     with pytest.raises(error, match="must be an integer"):
         build(value)
+
+
+@pytest.mark.parametrize("field", [f for f, (_, _, low) in INT_FIELDS.items() if low is not None])
+def test_an_int_field_below_its_bound_is_rejected(field):
+    build, error, low = INT_FIELDS[field]
+    build(low)
+    with pytest.raises(error):
+        build(low - 1)
+
+
+@pytest.mark.parametrize("build, error, match", [
+    (lambda: Scenario(n=2, horizon=50, timers={"sender_timeout": 3}), ScenarioError, "timers"),
+    (lambda: Scenario(n=2, horizon=50, default_channel="timely b=2"), ScenarioError,
+     "default_channel"),
+    (lambda: Scenario(n=2, horizon=50, channels={(0, 1): "lossy"}), ScenarioError, "channels"),
+    (lambda: Scenario(n=2, horizon=50, origin_channels={0: {(0, 1): "lossy"}}), ScenarioError,
+     "origin_channels"),
+    (lambda: Scenario(n=2, horizon=50, propagation="x"), ScenarioError, "propagation"),
+    (lambda: Scenario(n=2, horizon=50, channels={(0, 1): FairLossy("x", 1, 2)}),
+     ConfigurationError, "policy"),
+], ids=["timers", "default_channel", "channels", "origin_channels", "propagation",
+        "fair_lossy policy"])
+def test_a_field_of_the_wrong_type_is_rejected_on_construction(build, error, match):
+    # each of these used to build and fail only in `run` or `to_dict`
+    with pytest.raises(error, match=match):
+        build()
 
 
 class TestScenarioPlumbing:
@@ -435,6 +470,8 @@ class TestScenarioPlumbing:
             preset_dependable(4, seed=1, crash_victims=(0,), crash_steps=())
         with pytest.raises(ScenarioError):
             preset_dependable(2, seed=1, crash_victims=(0, 1), crash_steps=(10, 20))
+        with pytest.raises(ScenarioError, match="leader 3 outside"):
+            preset_dependable(3, 0, leader=3)
 
     def test_preset_leader_crash_wires_backup_and_reelects(self):
         scn = preset_dependable(5, seed=2, horizon=30_000,
