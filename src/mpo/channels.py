@@ -146,8 +146,8 @@ class GeneralPropagation:
     with probability p_reliable) and a timely subset T (each R edge also
     timely with probability p_timely).  Packets over edges outside R are
     dropped; T edges deliver within `bound` steps; R-only edges deliver
-    late, in (bound, 4*bound].  The probabilities are kept as floats, so
-    GeneralPropagation(1, 0) and its dict form are one model.
+    late, in (bound, 4*bound].  The probabilities are kept as floats, and
+    -0.0 as 0.0, so GeneralPropagation(1, -0) and its dict form are one model.
     """
 
     p_reliable: float
@@ -160,8 +160,8 @@ class GeneralPropagation:
         if not (0 <= self.p_reliable <= 1 and 0 <= self.p_timely <= 1):
             raise ConfigurationError("p_reliable and p_timely must lie in [0, 1]")
         check_ints(self, bound=1)
-        object.__setattr__(self, "p_reliable", float(self.p_reliable))
-        object.__setattr__(self, "p_timely", float(self.p_timely))
+        object.__setattr__(self, "p_reliable", float(self.p_reliable) + 0.0)
+        object.__setattr__(self, "p_timely", float(self.p_timely) + 0.0)
 
 
 @dataclass(slots=True)

@@ -64,12 +64,13 @@ class Scenario:
 
     Immutable and checked on construction: a bad field raises ScenarioError
     (or a model's ConfigurationError), so every Scenario that exists is
-    valid.  The mapping fields hold read-only copies of the dicts given, so
-    neither a write into a field nor a later change to a dict passed in
-    reaches a Scenario.  Labels are kept as text, sorted by key, as the dict
-    form writes them, so a Scenario equals itself read back from either
-    text form.  Override a field with `dataclasses.replace`, which checks
-    the result again.
+    valid.  The mapping fields hold read-only copies of the dicts given, and
+    `adjacency` a tuple of frozensets, so neither a write into a field nor a
+    later change to a value passed in reaches a Scenario.  Labels are kept as
+    text, sorted by key, as the dict form writes them, so a Scenario equals
+    itself read back from either text form.  A Scenario hashes as its
+    fingerprint, which equal Scenarios share.  Override a field with
+    `dataclasses.replace`, which checks the result again.
     """
 
     n: int
@@ -93,6 +94,12 @@ class Scenario:
             {o: MappingProxyType(dict(pairs)) for o, pairs in self.origin_channels.items()}))
         object.__setattr__(self, "labels", MappingProxyType(
             dict(sorted((str(k), str(v)) for k, v in self.labels.items()))))
+        if self.adjacency is not None:
+            try:
+                object.__setattr__(self, "adjacency", tuple(map(frozenset, self.adjacency)))
+            except TypeError:
+                raise ScenarioError("adjacency must hold a collection of process ids per"
+                                    f" process, got {self.adjacency!r}") from None
         check_ints(self, ScenarioError, n=2, horizon=1)
         check_int("seed", self.seed, ScenarioError)
         n = self.n
@@ -153,6 +160,9 @@ class Scenario:
 
     def fingerprint(self) -> str:
         return fingerprint_scenario(self.to_dict())
+
+    def __hash__(self) -> int:  # the generated hash fails on the mapping fields
+        return hash(self.fingerprint())
 
 
 def _check_type(what: str, value: object, kind, label: str) -> None:

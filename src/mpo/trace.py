@@ -11,15 +11,18 @@ each a template read backwards, are both built from it at import.  The
 reader reads an event line only as its class's pattern, which fixes
 every field's syntax, so it checks only ranges, against the scenario's
 n and horizon; it rejects any other line but the final record.  The
-meta and final records are read as JSON objects.
+meta and final records are read as JSON objects; the final record's
+`leaders` and `crashed` must be, as JSON, what the writer writes for the
+events read.
 
 A broadcast writes one line per destination, and those lines differ only
 after their last `,"to":`.  A line whose head, its text before that cut,
 repeats the head of a line already read at its step takes that head's
-values and its own tail's destination once the tail passes the
-destination's check; a tail that fails it sends the line down the pattern
-path, so nothing accepted or rejected changes, nor any error message.  The
-reader keeps the heads of one step only, as steps never decrease.
+values and, when its tail is one of the 2n texts the writer writes there
+(a process, `}`, a newline or none), that process; any other tail sends
+the line down the pattern path, so nothing accepted or rejected changes,
+nor any error message.  The reader keeps the heads of one step only, as
+steps never decrease.
 
 Events, like core's `Packet` and `MessageId`, are immutable typed tuples
 (`NamedTuple`s) that compare equal only within their class: a `Deliver`
@@ -136,10 +139,6 @@ def _proc(v: Any, n: int) -> int:
     return v if type(v) is int and 0 <= v < n else _bad(v, f"a process in [0, {n})")
 
 
-def _leader(v: Any, n: int) -> int | None:  # null: no leader
-    return v if v is None else _proc(v, n)
-
-
 def _read_mid(text: str, n: int) -> MessageId:
     origin, seq = text.split(",")
     return MessageId(_proc(int(origin), n), int(seq))
@@ -216,7 +215,7 @@ def _tables() -> tuple[dict, dict, re.Pattern, tuple]:
     patterns, each followed by an empty group named after its tag, so a match's
     `lastgroup` is the tag; and the tail of the classes whose last key is a
     field, not "t": (the cut before that key, the tags of those classes, the
-    pattern of the tail after the cut, the field's `read`)."""
+    %-format of the text the writer writes after the cut, but its newline)."""
     encode, decode, branches, first, tails = {}, {}, [], 1, set()
     for cls, (tag, fields) in EVENT_FORMAT.items():
         template, paths, pattern, keys = _layout(tag, fields)
@@ -230,9 +229,9 @@ def _tables() -> tuple[dict, dict, re.Pattern, tuple]:
             assert key == order[-1], "a tail field is its class's last field"
             tails.add((tag, key, kinds[-1]))
     (key, kind), = {(key, kind) for _, key, kind in tails}  # one cut for all
-    _, _, pattern, read = _RENDER[kind]
+    assert kind == "proc", "a tail field holds a process, so n values in all"
     tail = ("," + canonical_json(key) + ":", frozenset(tag for tag, *_ in tails),
-            re.compile(pattern + r"\}\n?"), read)
+            _RENDER[kind][0] + "}")
     return encode, decode, re.compile("|".join(branches)), tail
 
 
@@ -254,14 +253,6 @@ def write_trace(trace: Trace, fh: TextIO) -> None:
 def write_trace_file(trace: Trace, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         write_trace(trace, fh)
-
-
-def _read_tail(text: str, n: int) -> Any:
-    """The value of a line's tail, its text after `_TAIL`'s cut: the field's
-    text then `}`, in the field's pattern, and its value read and checked."""
-    _, _, pattern, read = _TAIL
-    m = pattern.fullmatch(text)
-    return read(m.group(1), n) if m else _bad(text, "a tail")
 
 
 def _record(line: str, lineno: int) -> dict[str, Any]:
@@ -294,18 +285,19 @@ def read_trace(lines: Iterable[str]) -> Trace:
     """Trace from its JSON lines; a TraceFormatError unless the meta and final
     records are JSON objects, every other line but blank ones is an event line
     as `write_trace` writes it, every value passes its check, only blank lines
-    follow the final record, and that record's `crashed` and `leaders` are what
-    the events leave: true for each crashed process, and each process's last
-    `LeaderChange.new` (null for a process with none).  It walks the lines
-    once, and keeps for the final check only each process's last new leader
-    and the set of crashed processes.
+    follow the final record, and that record's `crashed` and `leaders` are, as
+    JSON, what `write_trace` writes for the events read: true exactly for each
+    crashed process, and each process's last `LeaderChange.new` (null for one
+    with none).  It walks the lines once, and keeps for the final check only
+    each process's last new leader and the set of crashed processes.
 
     A line that repeats the head (the text before its last `,"to":`) of a
-    line read at the same step takes that head's values once its tail, the
-    destination and `}`, passes the destination's check; otherwise it is read
-    by its pattern.  Only the current step's heads are kept, so memory holds
-    one step's broadcasts, and every line is accepted or rejected, with the
-    same value or message, as by the pattern alone.
+    line read at the same step takes that head's values and, when its tail is
+    one of the 2n texts the writer writes there (a process, `}`, a newline or
+    none), that process; otherwise it is read by its pattern.  Only the
+    current step's heads are kept, so memory holds one step's broadcasts, and
+    every line is accepted or rejected, with the same value or message, as by
+    the pattern alone.
 
     A meta scenario need not be in `Scenario.to_dict()` form: a minimal one
     such as `{"n": 3, "horizon": 100}` reads, its left-out keys taking their
@@ -336,24 +328,20 @@ def read_trace(lines: Iterable[str]) -> Trace:
     event_line = _LINE.fullmatch
     # heads: the head (the text before `cut`) of each line of a tail class
     # read by its pattern at step `last` -> (its class's `direct`, the values
-    # of its fields but the last)
-    cut, tail_tags, *_ = _TAIL
+    # of its fields but the last); tails: each text the writer writes after
+    # `cut` -> its process
+    cut, tail_tags, tail_format = _TAIL
     heads: dict[str, tuple] = {}
-    tail_value = _Read(_read_tail, n)
+    tails = {tail_format % p + end: p for p in range(n) for end in ("", "\n")}
     events: list[TraceEvent] = []
     append = events.append
     last = 0
     crashes, outputs = set(), [None] * n  # outputs: each process's last new leader
     for lineno, line in enumerate(it, start=2):
         head, _, tail = line.rpartition(cut)
-        if (hit := heads.get(head)) is not None:
-            try:
-                value = tail_value[tail]
-            except ValueError:  # read by the pattern, which names the fault
-                pass
-            else:
-                append(hit[0]((*hit[1], value)))
-                continue
+        if (hit := heads.get(head)) is not None and (dst := tails.get(tail)) is not None:
+            append(hit[0]((*hit[1], dst)))
+            continue
         if (m := event_line(line)) is None:
             if not line.strip():
                 continue
@@ -385,23 +373,11 @@ def read_trace(lines: Iterable[str]) -> Trace:
     for extra, line in enumerate(it, start=lineno + 1):
         if line.strip():
             raise TraceFormatError(f"line {extra}: data after the final record")
-    leaders, crashed = obj.get("leaders"), obj.get("crashed")
-    if not all(type(entries) is list and len(entries) == n for entries in (leaders, crashed)):
-        raise TraceFormatError(
-            f"final record: 'leaders' and 'crashed' must list n={n} processes")
-    try:
-        leaders = [_leader(v, n) for v in leaders]
-    except ValueError as exc:
-        raise TraceFormatError(f"final record: leaders: {exc}") from None
-    if any(type(c) is not bool for c in crashed) or crashed != [p in crashes for p in range(n)]:
-        raise TraceFormatError("final record: 'crashed' must be true exactly for the"
-                               f" processes with a crash event, {sorted(crashes)}")
-    for p, (leader, output) in enumerate(zip(leaders, outputs)):
-        if leader != output:
-            raise TraceFormatError(
-                f"final record: leaders[{p}] is {leader}, but the events leave process"
-                f" {p} on leader {output} (null: no leader change)")
-    return Trace(scenario, events, leaders, crashed)
+    crashed = [p in crashes for p in range(n)]
+    want = canonical_json({"crashed": crashed, "leaders": outputs})
+    if (got := canonical_json({key: obj.get(key) for key in ("crashed", "leaders")})) != want:
+        raise TraceFormatError(f"final record: {got}, but the events leave {want}")
+    return Trace(scenario, events, outputs, crashed)
 
 
 def read_trace_file(path: str) -> Trace:

@@ -115,6 +115,7 @@ def test_ini_and_dict_forms_round_trip(scn):
     dump_scenario(scn, out)
     parsed = parse_scenario(io.StringIO(out.getvalue()))
     assert parsed == scn == Scenario.from_dict(scn.to_dict())
+    assert hash(parsed) == hash(scn)
 
 
 @settings(max_examples=30, deadline=None)
@@ -490,6 +491,19 @@ BAD_INPUTS = {
         _META + _line({"t": "crash", "step": 5, "proc": 0})
         + '{"t":"final","leaders":[null,null,null],"crashed":[1,false,false]}\n',
         ["audit"], {}),
+    "trace final leader true": (
+        _META + _line({"t": "leader", "step": 9, "proc": 0, "old": None, "new": 1})
+        + '{"t":"final","leaders":[true,null,null],"crashed":[false,false,false]}\n',
+        ["audit"], {}),
+    "trace final leader 1.0": (
+        _META + _line({"t": "leader", "step": 9, "proc": 0, "old": None, "new": 1})
+        + '{"t":"final","leaders":[1.0,null,null],"crashed":[false,false,false]}\n',
+        ["audit"], {}),
+    "trace crashed list longer than n": (
+        _META + '{"t":"final","leaders":[null,null,null],"crashed":[false,false,false,false]}\n',
+        ["audit"], {}),
+    "trace final without leaders": (
+        _META + '{"t":"final","crashed":[false,false,false]}\n', ["audit"], {}),
     "audit cutoff -5": (_META + _FINAL, ["audit", "--cutoff", "-5"], {}),
     "audit cutoff past the horizon": (_META + _FINAL, ["audit", "--cutoff", "99999999"], {}),
     "audit window 0": (_META + _FINAL, ["audit", "--window", "0"], {}),
@@ -519,9 +533,10 @@ BAD_INPUTS = {
 
 
 # row -> what stderr names: for the rows of one bad event line, a line not in
-# the writer's form or a field of one that fails its check; for a file that is
-# not UTF-8, the offset of its first bad byte; for a seed, the seed; for a bad
-# section, key or channel spec of a scenario file, the rule it breaks
+# the writer's form or a field of one that fails its check; for a bad final
+# record, that record; for a file that is not UTF-8, the offset of its first
+# bad byte; for a seed, the seed; for a bad section, key or channel spec of a
+# scenario file, the rule it breaks
 EVENT_ERRORS = {
     "topology keyed 1..n": "keyed 0..n-1",
     "scenario key foo": "unknown key 'foo'",
@@ -551,6 +566,12 @@ EVENT_ERRORS = {
     "trace mid origin out of range": "bad 'send' event",
     "trace old leader out of range": "bad 'leader' event",
     "trace new leader out of range": "bad 'leader' event",
+    **dict.fromkeys(["trace final without crashed", "trace crashed list shorter than n",
+                     "trace crashed with no crash event",
+                     "trace final leaders not the events' last", "trace final leader 7",
+                     "trace crashed entry 1", "trace final leader true",
+                     "trace final leader 1.0", "trace crashed list longer than n",
+                     "trace final without leaders"], "final record: "),
 }
 
 

@@ -417,8 +417,11 @@ def test_an_int_field_below_its_bound_is_rejected(field):
     (lambda: Scenario(n=2, horizon=50, propagation="x"), ScenarioError, "propagation"),
     (lambda: Scenario(n=2, horizon=50, channels={(0, 1): FairLossy("x", 1, 2)}),
      ConfigurationError, "policy"),
+    (lambda: Scenario(n=2, horizon=50, adjacency=5), ScenarioError, "adjacency"),
+    (lambda: Scenario(n=2, horizon=50, adjacency=(5, frozenset({0}))), ScenarioError,
+     "adjacency"),
 ], ids=["timers", "default_channel", "channels", "origin_channels", "propagation",
-        "fair_lossy policy"])
+        "fair_lossy policy", "adjacency", "adjacency entry"])
 def test_a_field_of_the_wrong_type_is_rejected_on_construction(build, error, match):
     # each of these used to build and fail only in `run` or `to_dict`
     with pytest.raises(error, match=match):
@@ -458,6 +461,28 @@ class TestScenarioPlumbing:
         assert fields == {"channels": {(0, 1): Lossy()}, "crash_schedule": {1: 50},
                           "labels": {"note": "x"}, "origin_channels": {1: {(0, 2): Lossy()}}}
         assert run(scn).events == run(dataclasses.replace(scn)).events
+
+    @pytest.mark.parametrize("adjacency", [(frozenset({1}), [0]), [{1}, {0}], ([1], (0,))],
+                             ids=["frozenset and list", "list of sets", "list and tuple"])
+    def test_adjacency_is_copied_to_a_tuple_of_frozensets(self, adjacency):
+        scn = Scenario(n=2, horizon=50, adjacency=adjacency)
+        assert scn.adjacency == (frozenset({1}), frozenset({0}))
+        assert type(scn.adjacency) is tuple
+        assert {type(neighbors) for neighbors in scn.adjacency} == {frozenset}
+        assert Scenario.from_dict(scn.to_dict()) == scn
+        out = io.StringIO()
+        tr.write_trace(run(scn), out)
+        assert tr.read_trace(io.StringIO(out.getvalue())).scenario == scn
+
+    def test_equal_scenarios_hash_equal(self):
+        scn = preset_dependable(4, 1)
+        again = Scenario.from_dict(scn.to_dict())
+        assert {scn: "preset"}[again] == "preset"
+        assert len({scn, again, Scenario(n=4, horizon=scn.horizon)}) == 2
+        # -0.0 == 0.0, so the two must have one dict form and one fingerprint
+        zero, minus_zero = (Scenario(n=2, horizon=50, propagation=GeneralPropagation(0.5, p))
+                            for p in (0.0, -0.0))
+        assert zero == minus_zero and hash(zero) == hash(minus_zero)
 
     def test_round_trip_dict(self):
         scn = mixed_scenario()

@@ -82,6 +82,16 @@ def test_every_event_kind_serializes():
     assert roundtrip(trace).events == trace.events
 
 
+def test_a_final_record_is_any_json_object_with_the_values_the_events_leave():
+    trace = every_kind()
+    *lines, _ = written(trace).splitlines(keepends=True)
+    final = ('{ "t": "final", "note": [1], "crashed": [false, false, true],'
+             ' "leaders": [null, 0, null] }\n')
+    again = read_trace([*lines, final])
+    assert again.events == trace.events
+    assert (again.final_leaders, again.crashed) == ([None, 0, None], [False, False, True])
+
+
 def test_rejects_garbage():
     with pytest.raises(TraceFormatError):
         read_trace(io.StringIO(""))
@@ -484,6 +494,12 @@ TAILS = {
     "float": lambda n: "1.0}\n",
     "trailing spaces": lambda n: "1}  \n",
     "no newline": lambda n: "1}",  # mid-file: the line runs into the next one
+    "plus sign": lambda n: "+1}\n",
+    "underscore": lambda n: "1_0}\n",
+    "leading space": lambda n: " 1}\n",
+    "carriage return": lambda n: "1}\r\n",
+    "exponent": lambda n: "1e0}\n",
+    "null": lambda n: "null}\n",
 }
 
 
