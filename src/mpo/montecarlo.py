@@ -22,11 +22,13 @@ count is geometric with mean q / (1 - q).
 
 Node 0's multi-hop verdict on a graph depends only on its n*n cells, so at
 n <= 4 it is read from a table of all 2**(n*n) graphs' verdicts, built once
-by the node-0 search on first use; above n = 4 the search judges each graph.
-The stability estimator credits a run of rounds in which every live trial
-is counting and holds in one step, never past round `cap`.  Neither changes
-an estimate: each trial still sees the same block of uniforms each round,
-and each block gets the verdict the search gives it.
+by the node-0 search on first use and indexed by each graph's cells packed
+into 16 bits; above n = 4 the search judges each graph.  The stability
+estimator notes the rounds in which each trial's count begins and ends,
+and once no live trial waits for its first holding round it jumps over
+the rounds before the next failure, never past round `cap`.  Neither
+changes an estimate: each trial still sees the same block of uniforms
+each round, and each block gets the verdict the search gives it.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import ConfigurationError
+from .core import ConfigurationError, check_int
 
 _BATCH = 2048
 # a stability call judges its rounds' blocks ahead, this many uniforms' worth
@@ -84,8 +86,15 @@ class StabilityEstimate:
 
 
 def _check(n: int, p: float | None = None, trials: int | None = None,
-           cap: int | None = None, target: float | None = None, seed: int | None = None) -> None:
-    """Reject an estimator parameter out of range; None skips a check."""
+           cap: int | None = None, target: float | None = None, seed: int | None = None,
+           mode: object = Mode.MULTI_HOP) -> None:
+    """Reject an estimator parameter of the wrong type or out of range; None
+    skips a check, and the default mode passes."""
+    for name, value in (("n", n), ("trials", trials), ("cap", cap), ("seed", seed)):
+        if value is not None:
+            check_int(name, value)
+    if not isinstance(mode, Mode):
+        raise ConfigurationError(f"mode must be a Mode, got {mode!r}")
     if n < 2:
         raise ConfigurationError(f"need n >= 2, got n={n}")
     if p is not None and not 0.0 <= p <= 1.0:
@@ -209,8 +218,10 @@ def _node_zero_reaches_all(adj: np.ndarray) -> np.ndarray:
     n = adj.shape[1]
     if n > _TABLE_MAX_N:
         return _reaches_all_from_0(adj)
-    index = adj.reshape(len(adj), n * n) @ (1 << np.arange(n * n))
-    return _node_zero_table(n)[index]
+    # cells padded to 16, packed low bit first: far cheaper than an int matmul
+    cells = np.zeros((len(adj), _TABLE_MAX_N ** 2), dtype=bool)
+    cells[:, :n * n] = adj.reshape(len(adj), n * n)
+    return _node_zero_table(n)[np.packbits(cells, bitorder="little").view("<u2")]
 
 
 def _has_multi_hop_leader(adj: np.ndarray) -> np.ndarray:
@@ -313,53 +324,57 @@ def mc_stability(
     uniforms from the call's generator.  The verdicts are judged ahead,
     `_AHEAD_CELLS` uniforms' worth of blocks or a round's at a time; the
     unused tail past the last round is never seen, so the estimate is the
-    one of judging round by round.  Node 0 is judged by table at n <= 4
-    and by search above that.  Once every live trial is counting, the
-    judged rows ahead in which all of them hold are credited in one step,
-    up to the first row with a failure and never past round `cap`, so
-    censoring still happens round by round; such rounds end no trial, so
-    they consume the same blocks either way.
+    one of judging round by round.  Each trial notes the round it first
+    holds in and, as it leaves, the round after its last counted one.
+    Once no live trial waits to hold, the loop jumps to the next judged
+    row with a failure, never past round `cap`, so censoring still
+    happens round by round; the rows jumped over end no trial.
     """
-    _check(n, p, trials, cap, seed=seed)
+    _check(n, p, trials, cap, seed=seed, mode=mode)
     rng = np.random.default_rng(seed)
-    counts = np.zeros(trials, dtype=np.int64)
-    live = np.arange(trials)                 # trials neither done nor censored
-    counting = np.zeros(trials, dtype=bool)  # per live trial: has it held yet?
-    verdicts = np.zeros(0, dtype=bool)       # judged ahead, not yet consumed
+    live = np.arange(trials)                # trials neither done nor censored
+    begin = np.full(trials, np.iinfo(np.int64).max)  # per trial: the round it first held
+    end = np.zeros(trials, dtype=np.int64)  # per trial: the round after its last counted one
+    verdicts = np.zeros(0, dtype=bool)      # judged ahead; verdicts[at:] not yet consumed
+    at, fails = 0, None  # where verdicts fail, then verdicts.size; set once no trial waits
     ahead = _AHEAD_CELLS // (n * n)
-    censored = 0
-    rounds = 0
+    censored, rounds, waiting = 0, 0, True
     while live.size:
         k = live.size
-        if verdicts.size < k:
+        if verdicts.size - at < k:
             verdicts = np.concatenate(
-                (verdicts, _holds_round(rng, max(k, ahead), n, p, mode)))
-        if rounds < cap and counting.all():
-            # every live trial counts: credit the verdict rows ahead that
-            # hold for all of them in one step, up to round cap at most
-            rows = min(verdicts.size // k, cap - rounds)
-            full = verdicts[:rows * k].reshape(rows, k).all(axis=1)
-            step = rows if full.all() else int(full.argmin())
-            if step:
-                counts[live] += step
-                rounds += step
-                verdicts = verdicts[step * k:]
-                if verdicts.size < k:
-                    continue
+                (verdicts[at:], _holds_round(rng, max(k, ahead), n, p, mode)))
+            at, fails = 0, None
+        if not waiting and rounds < cap:
+            # every live trial holds in the rows before the next failure:
+            # jump over them, to round cap at most
+            if fails is None:
+                fails = np.append(np.flatnonzero(~verdicts), verdicts.size)
+            step = min(int(fails[fails.searchsorted(at)] - at) // k, cap - rounds)
+            rounds, at = rounds + step, at + step * k
+            if verdicts.size - at < k:
+                continue
         rounds += 1
         if rounds > 2 * cap:
-            censored += live.size
+            censored += k
+            end[live] = rounds
             break
-        held, verdicts = verdicts[:k], verdicts[k:]
-        counts[live[counting & held]] += 1
-        stay = held | ~counting
-        counting |= held
-        if rounds > cap:  # a count is at most rounds - 1
-            capped = counts[live] >= cap
+        held, at = verdicts[at:at + k], at + k
+        stay = held
+        if waiting:
+            idle = begin[live] > rounds
+            begin[live[held & idle]] = rounds
+            idle &= ~held
+            stay, waiting = held | idle, bool(idle.any())
+        if rounds > cap:
+            capped = held & (begin[live] <= rounds - cap)
             censored += int(capped.sum())
-            stay &= ~capped
+            end[live[capped]] = rounds + 1
+            stay = stay & ~capped
         if not stay.all():
-            live, counting = live[stay], counting[stay]
+            end[live[~(stay | held)]] = rounds
+            live = live[stay]
+    counts = np.maximum(end - 1 - begin, 0)  # 0 for a trial that never held
     mean = float(counts.mean())
     stderr = float(counts.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return StabilityEstimate(

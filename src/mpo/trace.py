@@ -258,7 +258,8 @@ def write_trace_file(trace: Trace, path: str) -> None:
 def _record(line: str, lineno: int) -> dict[str, Any]:
     try:
         obj = json.loads(line)
-    except ValueError as exc:  # a JSONDecodeError, or an int too long to convert
+    # a JSONDecodeError, an int too long to convert, or nesting too deep to decode
+    except (ValueError, RecursionError) as exc:
         raise TraceFormatError(f"line {lineno}: {exc}") from None
     if type(obj) is not dict:
         raise TraceFormatError(f"line {lineno}: not a JSON object")

@@ -504,6 +504,12 @@ BAD_INPUTS = {
         ["audit"], {}),
     "trace final without leaders": (
         _META + '{"t":"final","crashed":[false,false,false]}\n', ["audit"], {}),
+    # nesting too deep for the JSON decoder to recurse through
+    "trace final record nested 100,000 deep": (
+        _META + '{"t":"final","leaders":' + "[" * 100_000 + "]" * 100_000
+        + ',"crashed":[false,false,false]}\n', ["audit"], {}),
+    "trace meta line nested 100,000 deep": (
+        "[" * 100_000 + "]" * 100_000 + "\n" + _FINAL, ["audit"], {}),
     "audit cutoff -5": (_META + _FINAL, ["audit", "--cutoff", "-5"], {}),
     "audit cutoff past the horizon": (_META + _FINAL, ["audit", "--cutoff", "99999999"], {}),
     "audit window 0": (_META + _FINAL, ["audit", "--window", "0"], {}),
@@ -566,6 +572,8 @@ EVENT_ERRORS = {
     "trace mid origin out of range": "bad 'send' event",
     "trace old leader out of range": "bad 'leader' event",
     "trace new leader out of range": "bad 'leader' event",
+    "trace final record nested 100,000 deep": "line 2: maximum recursion depth",
+    "trace meta line nested 100,000 deep": "line 1: maximum recursion depth",
     **dict.fromkeys(["trace final without crashed", "trace crashed list shorter than n",
                      "trace crashed with no crash event",
                      "trace final leaders not the events' last", "trace final leader 7",

@@ -4,7 +4,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mpo.core import ConfigurationError
@@ -268,6 +268,21 @@ def test_stability_equals_round_by_round_reference(mode, n, p, trials, seed, cap
         n, p, trials, seed, mode, cap)
 
 
+@settings(max_examples=100, deadline=None)
+@given(mode=st.sampled_from(list(Mode)), n=st.integers(2, 6),
+       p=st.sampled_from((0.0, 0.1, 0.5, 0.9, 0.97, 1.0)) | st.floats(0.0, 1.0),
+       trials=st.integers(1, 120), cap=st.integers(1, 30), seed=st.integers(0, 2**64))
+# jumps between failures, then censors 35 of 40 trials at the cap; censors
+# every trial at the cap; censors 46 trials at round 2 cap, each at a count of 0
+@example(mode=Mode.MULTI_HOP, n=4, p=0.9, trials=40, cap=30, seed=16)
+@example(mode=Mode.SINGLE_HOP, n=3, p=1.0, trials=7, cap=5, seed=0)
+@example(mode=Mode.BITIMELY, n=5, p=0.3, trials=50, cap=3, seed=1)
+def test_stability_equals_the_reference_on_any_parameters(mode, n, p, trials, cap, seed):
+    est = mc_stability(n, p, trials, seed, mode, cap=cap)
+    assert (est.mean, est.stderr, est.censored) == _stability_reference(
+        n, p, trials, seed, mode, cap)
+
+
 def test_stability_reference_cases_reach_their_paths():
     # the censoring cases censor, and the waiting case censors trials at 0
     assert _stability_reference(3, 0.95, 200, 12, Mode.SINGLE_HOP, 4)[2] > 0
@@ -279,11 +294,37 @@ def test_stability_reference_cases_reach_their_paths():
     assert censored == {Mode.SINGLE_HOP: 0, Mode.MULTI_HOP: 39, Mode.BITIMELY: 33}
 
 
+# call -> the field its error names: numpy would reject each value with a raw
+# TypeError, or, for a mode given as its value string, run multi-hop
+BAD_TYPES = {
+    "n 4.0": (mc_single_hop, (4.0, 0.5, 10, 1), {}, "n"),
+    "trials True": (mc_stability, (4, 0.9, True, 3, Mode.MULTI_HOP), {}, "trials"),
+    "seed 3.5": (mc_multi_hop, (4, 0.5, 10, 3.5), {}, "seed"),
+    "cap 2.5": (mc_stability, (4, 0.9, 10, 3, Mode.MULTI_HOP), {"cap": 2.5}, "cap"),
+    "mode a string": (mc_stability, (4, 0.9, 100, 3, "single_hop"), {}, "mode"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_TYPES)
+def test_estimators_reject_a_parameter_of_the_wrong_type(name):
+    fn, args, kwargs, field = BAD_TYPES[name]
+    with pytest.raises(ConfigurationError, match=f"^{field} must be"):
+        fn(*args, **kwargs)
+
+
 class TestStability:
     def test_capped_at_certainty(self):
         est = mc_stability(3, 1.0, 50, seed=1, mode=Mode.SINGLE_HOP, cap=100)
         assert est.censored == est.trials
         assert est.mean == 100.0
+
+    def test_a_cap_no_trial_reaches_changes_nothing(self):
+        # the counts stay int64 whatever the cap, so the estimate is the
+        # same bits, past int64 too
+        est = mc_stability(4, 0.9, 100, 3, Mode.MULTI_HOP)
+        for cap in (2**62, 2**63, 10**30):
+            big = mc_stability(4, 0.9, 100, 3, Mode.MULTI_HOP, cap=cap)
+            assert (big.mean, big.stderr, big.censored) == (est.mean, est.stderr, 0)
 
     def test_single_hop_geometric_law(self):
         q = 0.9 ** 3
