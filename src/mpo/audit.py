@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
-from .core import ConfigurationError, MessageId, TimerConfig
+from .core import ConfigurationError, MessageId, TimerConfig, check_int
 from .trace import LeaderChange, Send, TimerFired, Trace
 
 
@@ -207,8 +207,11 @@ def audit_report(trace: Trace, cutoff: int | None = None,
     the converged leader; scenario labels are annotations and are not read.
     A run that does not converge is audited at the given cutoff or 0, is
     neither message nor packet efficient, and gets no timer growth.  A
-    given cutoff must lie in [0, horizon) and a given window in [1, horizon].
+    given cutoff must be an int in [0, horizon), a given window one in [1, horizon].
     """
+    for name, value in (("cutoff", cutoff), ("window", window)):
+        if value is not None:
+            check_int(name, value)
     if cutoff is not None and not 0 <= cutoff < trace.horizon:
         raise ConfigurationError(f"cutoff {cutoff} outside [0, {trace.horizon})")
     if window is not None and not 1 <= window <= trace.horizon:

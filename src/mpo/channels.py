@@ -29,14 +29,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any
 
-from .core import ConfigurationError, MessageId, Packet, check_ints
-
-
-def _check_number(what: str, value: object) -> None:
-    """Raise ConfigurationError unless `value` is an int or a float: a bool
-    is neither, as `core.check_int` reads them."""
-    if type(value) not in (int, float):
-        raise ConfigurationError(f"{what} must be a number, got {value!r}")
+from .core import ConfigurationError, MessageId, Packet, check_ints, check_number
 
 
 @dataclass(frozen=True)
@@ -82,7 +75,7 @@ class DeliverProb:
     q: float
 
     def __post_init__(self) -> None:
-        _check_number("q", self.q)
+        check_number("q", self.q)
         if not 0 < self.q <= 1:
             raise ConfigurationError(f"q must lie in (0, 1], got {self.q}")
         object.__setattr__(self, "q", float(self.q))
@@ -155,8 +148,8 @@ class GeneralPropagation:
     bound: int = 4
 
     def __post_init__(self) -> None:
-        _check_number("p_reliable", self.p_reliable)
-        _check_number("p_timely", self.p_timely)
+        check_number("p_reliable", self.p_reliable)
+        check_number("p_timely", self.p_timely)
         if not (0 <= self.p_reliable <= 1 and 0 <= self.p_timely <= 1):
             raise ConfigurationError("p_reliable and p_timely must lie in [0, 1]")
         check_ints(self, bound=1)

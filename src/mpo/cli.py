@@ -114,22 +114,17 @@ def cmd_mc(args: argparse.Namespace) -> int:
     config = _config_hash(args.mode, args.n, args.p, args.trials, args.seed, args.cap)
     rows: list[dict] = []
     if args.mode == "existence":
+        table = (("single_hop", mc_single_hop, closed_form_single_hop),
+                 ("multi_hop", mc_multi_hop, bitimely_connectivity_bound))
         for n in args.n:
             for p in args.p:
-                single = mc_single_hop(n, p, args.trials, args.seed)
-                multi = mc_multi_hop(n, p, args.trials, args.seed)
-                rows.append({
-                    "mode": "single_hop", "n": n, "p": p, "trials": args.trials,
-                    "estimate": single.value, "stderr": single.stderr,
-                    "closed_form": closed_form_single_hop(n, p),
-                    "config": config,
-                })
-                rows.append({
-                    "mode": "multi_hop", "n": n, "p": p, "trials": args.trials,
-                    "estimate": multi.value, "stderr": multi.stderr,
-                    "closed_form": bitimely_connectivity_bound(n, p),
-                    "config": config,
-                })
+                for mode, estimator, closed_form in table:
+                    est = estimator(n, p, args.trials, args.seed)
+                    rows.append({
+                        "mode": mode, "n": n, "p": p, "trials": args.trials,
+                        "estimate": est.value, "stderr": est.stderr,
+                        "closed_form": closed_form(n, p), "config": config,
+                    })
     else:
         mode = Mode.SINGLE_HOP if args.mode == "stability-single" else Mode.MULTI_HOP
         for n in args.n:

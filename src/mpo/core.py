@@ -53,6 +53,13 @@ def check_int(what: str, value: object, error: type[ValueError] = ConfigurationE
         raise error(f"{what} must be an integer, got {value!r}")
 
 
+def check_number(what: str, value: object) -> None:
+    """Raise ConfigurationError unless `value` is an int or a float: a bool
+    is neither, as `check_int` reads them."""
+    if type(value) not in (int, float):
+        raise ConfigurationError(f"{what} must be a number, got {value!r}")
+
+
 def check_ints(obj: object, error: type[ValueError] = ConfigurationError, **lows: int) -> None:
     """`check_int` each named field of `obj` in keyword order, then raise
     `error("<field> must be >= <bound>, got <value>")` if it is below its

@@ -37,12 +37,11 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .core import ConfigurationError, check_int
+from .core import ConfigurationError, check_int, check_number
 
 _BATCH = 2048
 # a stability call judges its rounds' blocks ahead, this many uniforms' worth
@@ -93,6 +92,9 @@ def _check(n: int, p: float | None = None, trials: int | None = None,
     for name, value in (("n", n), ("trials", trials), ("cap", cap), ("seed", seed)):
         if value is not None:
             check_int(name, value)
+    for name, value in (("p", p), ("target", target)):
+        if value is not None:
+            check_number(name, value)
     if not isinstance(mode, Mode):
         raise ConfigurationError(f"mode must be a Mode, got {mode!r}")
     if n < 2:
@@ -234,61 +236,47 @@ def _has_multi_hop_leader(adj: np.ndarray) -> np.ndarray:
     return found
 
 
-def _estimate(hits: int, trials: int) -> Estimate:
+def _existence(n: int, p: float, trials: int, seed: int,
+               judge: Callable[[np.ndarray], np.ndarray]) -> Estimate:
+    """Fraction of sampled digraphs in which `judge` finds a leader."""
+    _check(n, p, trials, seed=seed)
+    hits = sum(int(judge(adj).sum()) for adj in _adjacency_batches(n, p, trials, seed))
     value = hits / trials
-    stderr = math.sqrt(value * (1.0 - value) / trials)
-    return Estimate(value=value, stderr=stderr, trials=trials)
+    return Estimate(value=value, stderr=math.sqrt(value * (1.0 - value) / trials),
+                    trials=trials)
 
 
 def mc_single_hop(n: int, p: float, trials: int, seed: int) -> Estimate:
     """Fraction of sampled digraphs containing a single-hop leader."""
-    _check(n, p, trials, seed=seed)
-    hits = sum(
-        int(_has_single_hop_leader(adj).sum())
-        for adj in _adjacency_batches(n, p, trials, seed)
-    )
-    return _estimate(hits, trials)
+    return _existence(n, p, trials, seed, _has_single_hop_leader)
 
 
 def mc_multi_hop(n: int, p: float, trials: int, seed: int) -> Estimate:
     """Fraction of sampled digraphs containing a node that reaches everyone
     through timely edges."""
-    _check(n, p, trials, seed=seed)
-    hits = sum(
-        int(_has_multi_hop_leader(adj).sum())
-        for adj in _adjacency_batches(n, p, trials, seed)
-    )
-    return _estimate(hits, trials)
+    return _existence(n, p, trials, seed, _has_multi_hop_leader)
 
 
 def exhaustive_existence(n: int, p: float, mode: Mode) -> float:
-    """Exact existence probability by summing over all 2**(n*(n-1)) edge
-    subsets; the oracle the estimators are validated against.  n <= 4.
-    Multi-hop graphs are judged by the closure alone, so the oracle shares
-    no code with the node-0 table."""
+    """Exact existence probability, summed over all 2**(n*(n-1)) edge
+    subsets at once; the oracle the estimators are validated against.
+    n <= 4.  Graph g holds channel i, the off-diagonal cells taken
+    row-major, when bit i of g is set, and weighs p per present channel and
+    1 - p per absent one.  Multi-hop graphs are judged by the closure alone,
+    so the oracle shares no code with the node-0 table."""
+    _check(n, p, mode=mode)
     if n > 4:
-        raise ValueError("exhaustive enumeration refuses n > 4")
+        raise ConfigurationError("exhaustive enumeration refuses n > 4")
     if mode not in (Mode.SINGLE_HOP, Mode.MULTI_HOP):
         raise ConfigurationError(
             f"exhaustive existence judges single_hop or multi_hop, not {mode}")
-    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
-    total = 0.0
-    for bits in product((False, True), repeat=len(pairs)):
-        adj = np.zeros((1, n, n), dtype=bool)
-        prob = 1.0
-        for (u, v), present in zip(pairs, bits):
-            adj[0, u, v] = present
-            prob *= p if present else (1.0 - p)
-        if prob == 0.0:
-            continue
-        ok = (
-            _has_single_hop_leader(adj)[0]
-            if mode is Mode.SINGLE_HOP
-            else _reachability(adj).all(axis=2).any(axis=1)[0]
-        )
-        if ok:
-            total += prob
-    return total
+    m = n * (n - 1)
+    present = ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1).astype(bool)
+    adj = np.zeros((1 << m, n, n), dtype=bool)
+    adj[:, ~np.eye(n, dtype=bool)] = present
+    ok = (_has_single_hop_leader(adj) if mode is Mode.SINGLE_HOP
+          else _reachability(adj).all(axis=2).any(axis=1))
+    return float(np.where(present, p, 1.0 - p).prod(axis=1)[ok].sum())
 
 
 def _holds_round(rng: np.random.Generator, k: int, n: int, p: float,

@@ -10,7 +10,7 @@ from mpo.audit import (
     summarize,
 )
 from mpo.channels import DeliverProb, DropPattern, FairLossy, Lossy, StronglyNonTimely, Timely
-from mpo.core import MessageId, TimerConfig
+from mpo.core import ConfigurationError, MessageId, TimerConfig
 from mpo.netsim import Scenario, preset_dependable, run
 
 
@@ -267,6 +267,14 @@ class TestReport:
         assert rep.cutoff == 1 + 10 * timers.sender_timeout
         assert rep.timer_growth == {1: timers.initial_receiver_timeout,
                                     2: timers.initial_receiver_timeout}
+
+    @pytest.mark.parametrize("kwargs", [
+        {"cutoff": True}, {"cutoff": 1.5}, {"cutoff": "5"}, {"window": 2.5},
+    ], ids=repr)
+    def test_cutoff_and_window_must_be_ints(self, converged_trace, kwargs):
+        (name, _), = kwargs.items()
+        with pytest.raises(ConfigurationError, match=f"^{name} must be an integer"):
+            audit_report(converged_trace, **kwargs)
 
     def test_report_is_pure(self, converged_trace):
         a = audit_report(converged_trace).to_json_obj()

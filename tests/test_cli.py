@@ -8,6 +8,12 @@ from hypothesis import strategies as st
 
 from mpo.channels import Lossy
 from mpo.cli import main
+from mpo.montecarlo import (
+    bitimely_connectivity_bound,
+    closed_form_single_hop,
+    mc_multi_hop,
+    mc_single_hop,
+)
 from mpo.netsim import Scenario, preset_dependable, run
 from mpo.scenario_io import (
     ScenarioParseError,
@@ -219,6 +225,22 @@ class TestCliMc:
         lines = out.read_text().strip().splitlines()
         assert lines[0].startswith("mode,n,p,trials,estimate,stderr,closed_form")
         assert len(lines) == 1 + 4  # two sizes x two modes
+
+    def test_existence_rows_pair_each_estimator_with_its_closed_form(self, capsys):
+        rc = main(["mc", "--mode", "existence", "--n", "3,5", "--p", "0.3,0.8",
+                   "--trials", "1000", "--seed", "4", "--json"])
+        assert rc == 0
+        rows = json.loads(capsys.readouterr().out)
+        table = (("single_hop", mc_single_hop, closed_form_single_hop),
+                 ("multi_hop", mc_multi_hop, bitimely_connectivity_bound))
+        expected = [(mode, n, p, estimator(n, p, 1000, 4), closed_form(n, p))
+                    for n in (3, 5) for p in (0.3, 0.8)
+                    for mode, estimator, closed_form in table]
+        assert len(rows) == len(expected)
+        for row, (mode, n, p, est, closed) in zip(rows, expected):
+            assert (row["mode"], row["n"], row["p"]) == (mode, n, p)
+            assert (row["estimate"], row["stderr"]) == (est.value, est.stderr)
+            assert row["closed_form"] == closed
 
     def test_multi_hop_stability_has_no_closed_form(self, capsys):
         rc = main(["mc", "--mode", "stability-multi", "--n", "4", "--p", "0.9",

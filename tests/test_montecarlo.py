@@ -97,6 +97,43 @@ class TestExhaustiveOracle:
         with pytest.raises(ConfigurationError, match="BITIMELY"):
             exhaustive_existence(3, 0.5, Mode.BITIMELY)
 
+    @pytest.mark.parametrize("n, p, mode", [
+        (1, 0.5, Mode.SINGLE_HOP),    # a network the estimators reject
+        (3.0, 0.5, Mode.SINGLE_HOP),  # not an int
+        (3, 1.5, Mode.SINGLE_HOP),    # not a probability
+        (3, 0.5, "multi_hop"),        # a mode's value string, not the mode
+    ])
+    def test_checks_its_arguments_as_the_estimators_do(self, n, p, mode):
+        with pytest.raises(ConfigurationError):
+            exhaustive_existence(n, p, mode)
+
+    @pytest.mark.parametrize("n", (2, 3, 4))
+    def test_matches_a_loop_over_every_graph(self, n):
+        # graph by graph, judged by BFS and summed in enumeration order; the
+        # oracle sums in another order, so 4,096 float64 terms may differ in
+        # their last bits
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        graphs = []
+        for bits in product((False, True), repeat=len(pairs)):
+            adj = [[False] * n for _ in range(n)]
+            for (u, v), present in zip(pairs, bits):
+                adj[u][v] = present
+            single = any(all(adj[u][v] for v in range(n) if v != u) for u in range(n))
+            multi = any(_bfs_reaches_all(adj, u) for u in range(n))
+            graphs.append((bits, single, multi))
+        for p in (0.0, 0.1, 0.3, 0.8, 1.0):
+            weights = [math.prod(p if b else 1.0 - p for b in bits) for bits, _, _ in graphs]
+            for mode, column in ((Mode.SINGLE_HOP, 1), (Mode.MULTI_HOP, 2)):
+                loop = sum(w for w, g in zip(weights, graphs) if g[column])
+                assert exhaustive_existence(n, p, mode) == pytest.approx(loop, abs=1e-12)
+
+    @pytest.mark.parametrize("n, roots", [(2, 3), (3, 51), (4, 3614)])
+    def test_multi_hop_counts_graphs_with_a_root_at_one_half(self, n, roots):
+        # at p = 1/2 every graph weighs exactly 2**-m, so the probability is
+        # the number of graphs on n nodes in which some node reaches everyone
+        m = n * (n - 1)
+        assert exhaustive_existence(n, 0.5, Mode.MULTI_HOP) == roots / 2**m
+
 
 class TestEstimators:
     def test_certain_edge_cases(self):
@@ -294,14 +331,18 @@ def test_stability_reference_cases_reach_their_paths():
     assert censored == {Mode.SINGLE_HOP: 0, Mode.MULTI_HOP: 39, Mode.BITIMELY: 33}
 
 
-# call -> the field its error names: numpy would reject each value with a raw
-# TypeError, or, for a mode given as its value string, run multi-hop
+# call -> the field its error names: unchecked, a string would meet a raw
+# TypeError, p given as True would run as p = 1, and a mode given as its value
+# string would run multi-hop
 BAD_TYPES = {
     "n 4.0": (mc_single_hop, (4.0, 0.5, 10, 1), {}, "n"),
     "trials True": (mc_stability, (4, 0.9, True, 3, Mode.MULTI_HOP), {}, "trials"),
     "seed 3.5": (mc_multi_hop, (4, 0.5, 10, 3.5), {}, "seed"),
     "cap 2.5": (mc_stability, (4, 0.9, 10, 3, Mode.MULTI_HOP), {"cap": 2.5}, "cap"),
     "mode a string": (mc_stability, (4, 0.9, 100, 3, "single_hop"), {}, "mode"),
+    "p a string": (mc_single_hop, (4, "0.5", 10, 1), {}, "p"),
+    "p True": (mc_single_hop, (4, True, 10, 1), {}, "p"),
+    "target a string": (stability_regime_probability, (8, "3"), {}, "target"),
 }
 
 
