@@ -12,13 +12,13 @@ Multi-hop existence has no simple exact form; `bitimely_connectivity_bound`
 evaluates the classical asymptotic lower-bound proxy via bidirectionally
 timely channels, good for trend checks only.
 
-The Monte Carlo estimators sample adjacency matrices with one shared
-generator layout, so on equal seeds every single-hop success is counted
-as a multi-hop success too (the witness is the same node).  Stability
-estimators resample the whole digraph each round and count how many
-consecutive extra rounds a fixed node keeps the leader property after a
-round in which it holds; per round that is a Bernoulli(q) trial, so the
-count is geometric with mean q / (1 - q).
+The existence estimators read graph i of a seed from uniforms
+[i*n*n, (i+1)*n*n) of its generator's stream, so on equal seeds every
+single-hop success is counted as a multi-hop success too (the witness is
+the same node).  Stability estimators resample the whole digraph each
+round and count how many consecutive extra rounds a fixed node keeps the
+leader property after a round in which it holds; per round that is a
+Bernoulli(q) trial, so the count is geometric with mean q / (1 - q).
 
 Node 0's multi-hop verdict on a graph depends only on its n*n cells, so at
 n <= 4 it is read from a table of all 2**(n*n) graphs' verdicts, built once
@@ -29,6 +29,15 @@ and once no live trial waits for its first holding round it jumps over
 the rounds before the next failure, never past round `cap`.  Neither
 changes an estimate: each trial still sees the same block of uniforms
 each round, and each block gets the verdict the search gives it.
+
+Graphs are drawn and judged `_chunks` at a time wherever they are
+materialised (existence, a stability call's rounds, the table build): at
+most `_BATCH_CELLS` uniforms' worth of blocks per numpy call, or one
+block where a block is larger, so a call's memory does not grow with
+trials * n * n.  The chunks change no estimate either: numpy's default
+generator (PCG64) makes each double from one 64-bit output, in order, so
+block i of a stream holds the same uniforms however the draws before it
+were split, and every judge looks at one graph at a time.
 """
 
 from __future__ import annotations
@@ -43,12 +52,12 @@ import numpy as np
 
 from .core import ConfigurationError, check_int, check_number
 
-_BATCH = 2048
-# a stability call judges its rounds' blocks ahead, this many uniforms' worth
-# at a time (_BATCH blocks at n=4): enough to spread the fixed cost of a
-# judging call over many rounds, small enough that a call with few trials at
-# large n draws little past its last round
-_AHEAD_CELLS = 16 * _BATCH
+# the most uniforms one numpy call draws and judges (2,048 graphs at n=4),
+# and a stability call's read-ahead: enough to spread a call's fixed cost
+# over many graphs, few enough that its arrays stay near cache size (256 KiB
+# of doubles) and that a call with few trials at large n draws little past
+# its last round
+_BATCH_CELLS = 1 << 15
 
 
 class Mode(Enum):
@@ -131,17 +140,23 @@ def bitimely_connectivity_bound(n: int, p: float) -> float:
     return 1.0 - n * (1.0 - ptilde) ** (n - 1)
 
 
+def _chunks(blocks: int, cells: int) -> Iterator[range]:
+    """Consecutive runs covering range(blocks), each of at most
+    max(1, _BATCH_CELLS // cells) blocks of `cells` uniforms."""
+    per = max(1, _BATCH_CELLS // cells)
+    for start in range(0, blocks, per):
+        yield range(start, min(start + per, blocks))
+
+
 def _adjacency_batches(
     n: int, p: float, trials: int, seed: int
 ) -> Iterator[np.ndarray]:
-    """Boolean (batch, n, n) adjacency samples; fixed batching so two
+    """Boolean (chunk, n, n) adjacency samples of `trials` graphs in all;
+    graph i is uniforms [i*n*n, (i+1)*n*n) of the seed's stream, so two
     estimators with equal (n, p, trials, seed) see identical graphs."""
     rng = np.random.default_rng(seed)
-    left = trials
-    while left > 0:
-        k = min(_BATCH, left)
-        left -= k
-        yield rng.random((k, n, n)) < p
+    for chunk in _chunks(trials, n * n):
+        yield rng.random((len(chunk), n, n)) < p
 
 
 def _has_single_hop_leader(adj: np.ndarray) -> np.ndarray:
@@ -207,9 +222,12 @@ _TABLE_MAX_N = 4
 def _node_zero_table(n: int) -> np.ndarray:
     """Node 0's verdict on every graph on n nodes, read-only, indexed by the
     graph's n*n cells read as bits, row-major, cell (0, 0) the lowest."""
-    index = np.arange(1 << (n * n), dtype=np.uint16)[:, None]
-    graphs = (index >> np.arange(n * n, dtype=np.uint16)) & 1
-    table = _reaches_all_from_0(graphs.astype(bool).reshape(-1, n, n))
+    bits = np.arange(n * n, dtype=np.uint16)
+    table = np.empty(1 << (n * n), dtype=bool)
+    for chunk in _chunks(table.size, n * n):
+        index = np.arange(chunk.start, chunk.stop, dtype=np.uint16)[:, None]
+        graphs = ((index >> bits) & 1).astype(bool).reshape(-1, n, n)
+        table[chunk.start:chunk.stop] = _reaches_all_from_0(graphs)
     table.flags.writeable = False
     return table
 
@@ -281,14 +299,20 @@ def exhaustive_existence(n: int, p: float, mode: Mode) -> float:
 
 def _holds_round(rng: np.random.Generator, k: int, n: int, p: float,
                  mode: Mode) -> np.ndarray:
-    """Node 0's verdicts on k fresh digraphs, one block of uniforms each:
+    """Node 0's verdicts on k fresh digraphs, one block of uniforms each
+    (n - 1 in single-hop mode, n*n otherwise), drawn `_chunks` at a time:
     does it hold the property?"""
-    if mode is Mode.SINGLE_HOP:
-        return (rng.random((k, n - 1)) < p).all(axis=1)
-    adj = rng.random((k, n, n)) < p
-    if mode is Mode.BITIMELY:
-        adj = adj & adj.transpose(0, 2, 1)
-    return _node_zero_reaches_all(adj)
+    verdicts = np.empty(k, dtype=bool)
+    for chunk in _chunks(k, n - 1 if mode is Mode.SINGLE_HOP else n * n):
+        if mode is Mode.SINGLE_HOP:
+            held = (rng.random((len(chunk), n - 1)) < p).all(axis=1)
+        else:
+            adj = rng.random((len(chunk), n, n)) < p
+            if mode is Mode.BITIMELY:
+                adj = adj & adj.transpose(0, 2, 1)
+            held = _node_zero_reaches_all(adj)
+        verdicts[chunk.start:chunk.stop] = held
+    return verdicts
 
 
 def mc_stability(
@@ -310,13 +334,15 @@ def mc_stability(
 
     Each round gives every live trial, in trial order, the next block of
     uniforms from the call's generator.  The verdicts are judged ahead,
-    `_AHEAD_CELLS` uniforms' worth of blocks or a round's at a time; the
-    unused tail past the last round is never seen, so the estimate is the
-    one of judging round by round.  Each trial notes the round it first
-    holds in and, as it leaves, the round after its last counted one.
-    Once no live trial waits to hold, the loop jumps to the next judged
-    row with a failure, never past round `cap`, so censoring still
-    happens round by round; the rows jumped over end no trial.
+    `_BATCH_CELLS` uniforms' worth of n*n blocks or a round's at a time,
+    drawn `_chunks` at a time, so the call's memory is O(_BATCH_CELLS +
+    trials) whatever n.  The unused tail past the last round is never
+    seen, so the estimate is the one of judging round by round.  Each
+    trial notes the round it first holds in and, as it leaves, the round
+    after its last counted one.  Once no live trial waits to hold, the
+    loop jumps to the next judged row with a failure, never past round
+    `cap`, so censoring still happens round by round; the rows jumped
+    over end no trial.
     """
     _check(n, p, trials, cap, seed=seed, mode=mode)
     rng = np.random.default_rng(seed)
@@ -325,7 +351,7 @@ def mc_stability(
     end = np.zeros(trials, dtype=np.int64)  # per trial: the round after its last counted one
     verdicts = np.zeros(0, dtype=bool)      # judged ahead; verdicts[at:] not yet consumed
     at, fails = 0, None  # where verdicts fail, then verdicts.size; set once no trial waits
-    ahead = _AHEAD_CELLS // (n * n)
+    ahead = _BATCH_CELLS // (n * n)
     censored, rounds, waiting = 0, 0, True
     while live.size:
         k = live.size
@@ -379,7 +405,8 @@ def stability_regime_probability(n: int, target: float) -> float:
 
     Evaluates ptilde(n) = ln(n)/n - ln(ln(1 + 1/target))/n for the
     bidirectionally timely graph and returns p = sqrt(ptilde), clipped
-    into (0, 1).  As n grows, G(n, ptilde) is connected with probability
+    into (0, 1]: 1.0 where ptilde reaches 1, as at small n with a large
+    target.  As n grows, G(n, ptilde) is connected with probability
     exp(-ln(1 + 1/target)) = target/(1 + target), so the witness's mean
     retention r/(1 - r) tends to the target.
     """

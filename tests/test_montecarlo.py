@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from itertools import product
 
@@ -7,13 +8,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mpo import montecarlo
 from mpo.core import ConfigurationError
 from mpo.montecarlo import (
-    _AHEAD_CELLS,
+    _BATCH_CELLS,
     Estimate,
     Mode,
     _has_multi_hop_leader,
     _node_zero_reaches_all,
+    _node_zero_table,
     _reachability,
     _reaches_all_from_0,
     bitimely_connectivity_bound,
@@ -186,6 +189,58 @@ class TestEstimators:
             mc_single_hop(4, 0.5, 0, seed=1)
 
 
+# trials per size: odd, so no multiple of two-block chunks, and between one
+# and two default chunks, so the last default chunk is a large partial one
+CHUNKED_TRIALS = {3: 5461, 4: 3073, 5: 1967, 9: 607}
+
+
+@pytest.mark.parametrize("n, trials", CHUNKED_TRIALS.items())
+def test_chunking_never_changes_an_existence_estimate(monkeypatch, n, trials):
+    per = _BATCH_CELLS // (n * n)
+    assert trials % 2 and per < trials < 2 * per
+
+    def estimates():
+        return [mc_single_hop(n, 0.4, trials, 8), mc_multi_hop(n, 0.4, trials, 8)]
+
+    want = estimates()
+    assert 0 < want[0].value < want[1].value < 1
+    for budget in (1, 2 * n * n + 1):  # one graph per draw, two per draw
+        monkeypatch.setattr(montecarlo, "_BATCH_CELLS", budget)
+        assert estimates() == want
+
+
+def test_a_node_zero_table_built_in_small_chunks_is_the_default_table(monkeypatch):
+    want = _node_zero_table(4)
+    _node_zero_table.cache_clear()
+    monkeypatch.setattr(montecarlo, "_BATCH_CELLS", 16 * 333 + 5)  # 333 graphs a chunk
+    try:
+        assert np.array_equal(_node_zero_table(4), want)
+    finally:
+        _node_zero_table.cache_clear()  # the next use builds it at the default budget
+
+
+# drawn 2,048 whole graphs at a time, the n=100 existence calls trace above
+# 170 MiB; drawn a round's 2,000 live trials at once, the n=32 stability call
+# traces above 17 MiB
+FLAT_MEMORY_CALLS = {
+    "multi-hop n=100": lambda: mc_multi_hop(100, 0.3, 2048, 1),
+    "single-hop n=100": lambda: mc_single_hop(100, 0.3, 2048, 1),
+    "bitimely stability n=32": lambda: mc_stability(32, 0.5, 2000, 1, Mode.BITIMELY,
+                                                    cap=20),
+}
+
+
+@pytest.mark.parametrize("name", FLAT_MEMORY_CALLS)
+def test_estimator_memory_stays_flat_in_n(name):
+    tracemalloc.start()
+    try:
+        FLAT_MEMORY_CALLS[name]()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, f"{name}: traced peak {peak / 2**20:.1f} MiB"
+
+
 def _bfs_reaches_all(adj: np.ndarray, src: int) -> bool:
     """Pure-Python breadth-first search on one boolean adjacency matrix."""
     n = len(adj)
@@ -291,7 +346,7 @@ STABILITY_CASES = {
     "cap censors": (3, 0.95, 200, 12, 4),
     "waiting past 2 cap": (7, 0.25, 60, 13, 2),
     "one trial": (4, 0.8, 1, 14, 100_000),
-    "trials above read-ahead": (8, 0.6, _AHEAD_CELLS // 64 + 300, 15, 100_000),
+    "trials above read-ahead": (8, 0.6, _BATCH_CELLS // 64 + 300, 15, 100_000),
     "quiet tail meets cap": (4, 0.97, 40, 16, 300),
 }
 
@@ -318,6 +373,19 @@ def test_stability_equals_the_reference_on_any_parameters(mode, n, p, trials, ca
     est = mc_stability(n, p, trials, seed, mode, cap=cap)
     assert (est.mean, est.stderr, est.censored) == _stability_reference(
         n, p, trials, seed, mode, cap)
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+@pytest.mark.parametrize("n, p, trials, seed, cap", STABILITY_CASES.values(),
+                         ids=STABILITY_CASES.keys())
+def test_chunking_never_changes_a_stability_estimate(monkeypatch, mode, n, p, trials,
+                                                     seed, cap):
+    # one block per draw, two n*n blocks per draw (a read-ahead of two), and
+    # the default budget
+    want = mc_stability(n, p, trials, seed, mode, cap=cap)
+    for budget in (1, 2 * n * n + 1):
+        monkeypatch.setattr(montecarlo, "_BATCH_CELLS", budget)
+        assert mc_stability(n, p, trials, seed, mode, cap=cap) == want
 
 
 def test_stability_reference_cases_reach_their_paths():
@@ -405,6 +473,8 @@ class TestSweep:
         ps = [stability_regime_probability(n, 3.0) for n in (8, 16, 32, 64)]
         assert ps == sorted(ps, reverse=True)
         assert all(0 < p < 1 for p in ps)
+        # the clip's range is (0, 1]: at small n a large target gives p = 1
+        assert stability_regime_probability(2, 1e6) == stability_regime_probability(3, 1e3) == 1.0
 
     def test_means_stay_in_stable_band(self):
         rows = stability_sweep(3.0, (8, 16, 32), trials=2_000, seed=5, cap=2_000)
