@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
-from .core import ConfigurationError, MessageId, TimerConfig, check_int
+from .core import MessageId, TimerConfig, check_int
 from .trace import LeaderChange, Send, TimerFired, Trace
 
 
@@ -206,16 +206,13 @@ def audit_report(trace: Trace, cutoff: int | None = None,
     The timer growth is every correct process's final receive timeout for
     the converged leader; scenario labels are annotations and are not read.
     A run that does not converge is audited at the given cutoff or 0, is
-    neither message nor packet efficient, and gets no timer growth.  A
-    given cutoff must be an int in [0, horizon), a given window one in [1, horizon].
+    neither message nor packet efficient, and gets no timer growth.  A given
+    cutoff must be an int in [0, horizon - 1], a given window one in [1, horizon].
     """
-    for name, value in (("cutoff", cutoff), ("window", window)):
-        if value is not None:
-            check_int(name, value)
-    if cutoff is not None and not 0 <= cutoff < trace.horizon:
-        raise ConfigurationError(f"cutoff {cutoff} outside [0, {trace.horizon})")
-    if window is not None and not 1 <= window <= trace.horizon:
-        raise ConfigurationError(f"window {window} outside [1, {trace.horizon}]")
+    if cutoff is not None:
+        check_int("cutoff", cutoff, low=0, high=trace.horizon - 1)
+    if window is not None:
+        check_int("window", window, low=1, high=trace.horizon)
     summary = summarize(trace)
     conv = summary.convergence(window)
     if cutoff is None:

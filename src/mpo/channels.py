@@ -29,7 +29,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any
 
-from .core import ConfigurationError, MessageId, Packet, check_ints, check_number
+from .core import (ConfigurationError, MessageId, Packet, check_int, check_ints, check_number,
+                   check_type)
 
 
 @dataclass(frozen=True)
@@ -94,9 +95,8 @@ class FairLossy:
     delay_max: int = 8
 
     def __post_init__(self) -> None:
-        if not isinstance(self.policy, (DropPattern, DeliverProb)):
-            raise ConfigurationError(
-                f"policy must be a DropPattern or a DeliverProb, got {self.policy!r}")
+        check_type("policy", self.policy, (DropPattern, DeliverProb),
+                   "a DropPattern or a DeliverProb")
         # a delivery is never earlier than the step after the send
         check_ints(self, delay_min=1, delay_max=self.delay_min)
 
@@ -148,10 +148,8 @@ class GeneralPropagation:
     bound: int = 4
 
     def __post_init__(self) -> None:
-        check_number("p_reliable", self.p_reliable)
-        check_number("p_timely", self.p_timely)
-        if not (0 <= self.p_reliable <= 1 and 0 <= self.p_timely <= 1):
-            raise ConfigurationError("p_reliable and p_timely must lie in [0, 1]")
+        check_number("p_reliable", self.p_reliable, 0, 1)
+        check_number("p_timely", self.p_timely, 0, 1)
         check_ints(self, bound=1)
         object.__setattr__(self, "p_reliable", float(self.p_reliable) + 0.0)
         object.__setattr__(self, "p_timely", float(self.p_timely) + 0.0)
@@ -177,8 +175,10 @@ def suppression_windows(
 
     Lengths double from `burst` up to `cap`; successive gaps grow with
     the window length so windows recur but thin out.  No window opens
-    before `start_after`.
+    before `start_after`.  burst >= 1 and cap >= burst, as in `StronglyNonTimely`.
     """
+    check_int("burst", burst, low=1)
+    check_int("cap", cap, low=burst)
     # mix to a plain int: tuple seeding hashes, which is not stable across runs
     local = random.Random(((seed * 1_000_003 + src) * 1_000_003 + dst) * 2 + 1)
     windows: list[tuple[int, int]] = []
@@ -373,6 +373,7 @@ def model_from_spec(spec: str) -> ChannelModel:
     model does not take, a repeated key, and `drop=` together with `q=` are
     rejected.
     """
+    check_type("spec", spec, str, "a string", ChannelSpecError)
     try:
         return _model_from_words(spec.split())
     except ValueError as exc:  # malformed text, a bad number, or a bad parameter

@@ -46,29 +46,44 @@ class ConfigurationError(ValueError):
     """Invalid process id, network size, timer constant or model parameter."""
 
 
-def check_int(what: str, value: object, error: type[ValueError] = ConfigurationError) -> None:
-    """Raise `error` unless `value` is an int, as a trace file's fields are
-    read: a bool or a float is not one, whatever its value."""
-    if type(value) is not int:
-        raise error(f"{what} must be an integer, got {value!r}")
+# The bound-checking rules of every library boundary.  Each raises `error` as `<what> must be
+# an integer|a number|<label>, got <v>`, then `<what> must be >= <low>, got <v>` or, with a
+# `high`, `<what> must lie in [<low>, <high>], got <v>`; nan lies in no range.
+
+def check_int(what: str, value: object, error: type[ValueError] = ConfigurationError,
+              low: int | None = None, high: int | None = None) -> None:
+    """An int in [low, high], as a trace file's fields are read: a bool or a
+    float is not one, whatever its value."""
+    _check(what, value, type(value) is int, "an integer", error, low, high)
 
 
-def check_number(what: str, value: object) -> None:
-    """Raise ConfigurationError unless `value` is an int or a float: a bool
-    is neither, as `check_int` reads them."""
-    if type(value) not in (int, float):
-        raise ConfigurationError(f"{what} must be a number, got {value!r}")
+def check_number(what: str, value: object, low: float | None = None,
+                 high: float | None = None) -> None:
+    """An int or a float in [low, high]: a bool is neither, as `check_int` reads them."""
+    _check(what, value, type(value) in (int, float), "a number", ConfigurationError, low, high)
+
+
+def check_type(what: str, value: object, kind, label: str,
+               error: type[ValueError] = ConfigurationError) -> None:
+    """An instance of `kind`, which `label` names (`"a channel model"`)."""
+    _check(what, value, isinstance(value, kind), label, error, None, None)
+
+
+def _check(what: str, value, ok: bool, label: str, error: type[ValueError], low, high) -> None:
+    if not ok:
+        raise error(f"{what} must be {label}, got {value!r}")
+    if high is not None:
+        if not low <= value <= high:
+            raise error(f"{what} must lie in [{low}, {high}], got {value!r}")
+    elif low is not None and not value >= low:
+        raise error(f"{what} must be >= {low}, got {value!r}")
 
 
 def check_ints(obj: object, error: type[ValueError] = ConfigurationError, **lows: int) -> None:
-    """`check_int` each named field of `obj` in keyword order, then raise
-    `error("<field> must be >= <bound>, got <value>")` if it is below its
-    bound, which may be an earlier field's value (`window_cap=self.burst`)."""
+    """`check_int` each named field of `obj` in keyword order against its
+    lower bound, which may be an earlier field's value (`window_cap=self.burst`)."""
     for name, low in lows.items():
-        value = getattr(obj, name)
-        check_int(name, value, error)
-        if value < low:
-            raise error(f"{name} must be >= {low}, got {value}")
+        check_int(name, getattr(obj, name), error, low)
 
 
 # ---------------------------------------------------------------------------
@@ -338,10 +353,8 @@ def init_state(
     non-complete topologies; None means fully connected.
     """
     cfg = cfg or TimerConfig()
-    if n < 2:
-        raise ConfigurationError(f"need at least 2 processes, got n={n}")
-    if not 0 <= p < n:
-        raise ConfigurationError(f"process id {p} outside [0, {n})")
+    check_int("n", n, low=2)
+    check_int("process id", p, low=0, high=n - 1)
     if adjacency is None:
         neighbors = tuple(q for q in range(n) if q != p)
     else:

@@ -50,7 +50,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .core import ConfigurationError, check_int, check_number
+from .core import ConfigurationError, check_int, check_number, check_type
 
 # the most uniforms one numpy call draws and judges (2,048 graphs at n=4),
 # and a stability call's read-ahead: enough to spread a call's fixed cost
@@ -96,31 +96,22 @@ class StabilityEstimate:
 def _check(n: int, p: float | None = None, trials: int | None = None,
            cap: int | None = None, target: float | None = None, seed: int | None = None,
            mode: object = Mode.MULTI_HOP) -> None:
-    """Reject an estimator parameter of the wrong type or out of range; None
-    skips a check, and the default mode passes."""
-    for name, value in (("n", n), ("trials", trials), ("cap", cap), ("seed", seed)):
+    """Raise ConfigurationError unless n, trials, cap and seed are ints in their
+    bounds (numpy's generators take no negative seed), p a number in [0, 1], target
+    a number as below and mode a Mode.  None skips a check; the default mode passes."""
+    check_int("n", n, low=2)
+    for name, value, low in (("trials", trials, 1), ("cap", cap, 1), ("seed", seed, 0)):
         if value is not None:
-            check_int(name, value)
-    for name, value in (("p", p), ("target", target)):
-        if value is not None:
-            check_number(name, value)
-    if not isinstance(mode, Mode):
-        raise ConfigurationError(f"mode must be a Mode, got {mode!r}")
-    if n < 2:
-        raise ConfigurationError(f"need n >= 2, got n={n}")
-    if p is not None and not 0.0 <= p <= 1.0:
-        raise ConfigurationError(f"p must be a probability, got p={p}")
-    if trials is not None and trials < 1:
-        raise ConfigurationError(f"need at least one trial, got trials={trials}")
-    if cap is not None and cap < 1:
-        raise ConfigurationError(f"cap must be >= 1, got cap={cap}")
-    if seed is not None and seed < 0:  # numpy's generators take no negative seed
-        raise ConfigurationError(f"seed must be >= 0, got seed={seed}")
-    # ln(ln(1 + 1/target)) needs 1 < 1 + 1/target < inf: 0 < target, and
-    # target below about 9e15, above which 1 + 1/target rounds to 1
-    if target is not None and not (0.0 < target and 1.0 < 1.0 + 1.0 / target < math.inf):
-        raise ConfigurationError(
-            f"target must be positive with 1 < 1 + 1/target < inf, got target={target}")
+            check_int(name, value, low=low)
+    if p is not None:
+        check_number("p", p, 0, 1)
+    check_type("mode", mode, Mode, "a Mode")
+    if target is not None:
+        check_number("target", target)
+        # ln(ln(1 + 1/target)) needs 0 < target < ~9e15, above which 1 + 1/target is 1
+        if not (0.0 < target and 1.0 < 1.0 + 1.0 / target < math.inf):
+            raise ConfigurationError(
+                f"target must be positive with 1 < 1 + 1/target < inf, got target={target}")
 
 
 def closed_form_single_hop(n: int, p: float) -> float:
@@ -282,9 +273,8 @@ def exhaustive_existence(n: int, p: float, mode: Mode) -> float:
     row-major, when bit i of g is set, and weighs p per present channel and
     1 - p per absent one.  Multi-hop graphs are judged by the closure alone,
     so the oracle shares no code with the node-0 table."""
+    check_int("n", n, low=2, high=4)
     _check(n, p, mode=mode)
-    if n > 4:
-        raise ConfigurationError("exhaustive enumeration refuses n > 4")
     if mode not in (Mode.SINGLE_HOP, Mode.MULTI_HOP):
         raise ConfigurationError(
             f"exhaustive existence judges single_hop or multi_hop, not {mode}")

@@ -65,6 +65,7 @@ from .core import (
     Packet,
     TimerConfig,
     advance_timers,
+    check_int,
     collector_paused,
     init_state,
     on_receive,
@@ -301,8 +302,9 @@ def preset_dependable(
     re-converges after the crash.  A process crashes at most once, so a
     repeated victim is rejected.
     """
-    if not 0 <= leader < n:
-        raise ScenarioError(f"leader {leader} outside [0, {n})")
+    check_int("n", n, ScenarioError, low=2)
+    check_int("seed", seed, ScenarioError)
+    check_int("leader", leader, ScenarioError, 0, n - 1)
     if len(crash_victims) != len(crash_steps):
         raise ScenarioError("need one crash step per victim")
     repeated = [p for i, p in enumerate(crash_victims) if p in crash_victims[:i]]

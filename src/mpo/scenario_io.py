@@ -51,7 +51,7 @@ from typing import Any, Callable, Mapping, TextIO
 
 from .channels import (ChannelModel, GeneralPropagation, Timely, model_from_spec,
                        model_to_spec, read_float, read_int)
-from .core import TimerConfig, check_int, check_ints
+from .core import TimerConfig, check_int, check_ints, check_type
 
 
 class ScenarioError(ValueError):
@@ -103,23 +103,18 @@ class Scenario:
         check_ints(self, ScenarioError, n=2, horizon=1)
         check_int("seed", self.seed, ScenarioError)
         n = self.n
-        _check_type("timers", self.timers, TimerConfig, "a TimerConfig")
-        _check_type("default_channel", self.default_channel, ChannelModel, "a channel model")
-        _check_type("propagation", self.propagation, GeneralPropagation | None,
-                    "a GeneralPropagation or None")
+        check_type("timers", self.timers, TimerConfig, "a TimerConfig", ScenarioError)
+        check_type("default_channel", self.default_channel, ChannelModel, "a channel model",
+                   ScenarioError)
+        check_type("propagation", self.propagation, GeneralPropagation | None,
+                   "a GeneralPropagation or None", ScenarioError)
         _check_pairs("channels", self.channels, n)
         for origin, pairs in self.origin_channels.items():
-            check_int("origin_channels origin", origin, ScenarioError)
-            if not 0 <= origin < n:
-                raise ScenarioError(f"origin_channels: unknown origin {origin}")
+            check_int("origin_channels origin", origin, ScenarioError, 0, n - 1)
             _check_pairs(f"origin_channels {origin}", pairs, n)
         for p, step in self.crash_schedule.items():
-            check_int("crashed process", p, ScenarioError)
-            check_int(f"crash step of process {p}", step, ScenarioError)
-            if not 0 <= p < n:
-                raise ScenarioError(f"crash of unknown process {p}")
-            if not 1 <= step <= self.horizon:
-                raise ScenarioError(f"crash step {step} outside [1, horizon]")
+            check_int("crashed process", p, ScenarioError, 0, n - 1)
+            check_int(f"crash step of process {p}", step, ScenarioError, 1, self.horizon)
         if self.adjacency is not None:
             if len(self.adjacency) != n:
                 raise ScenarioError(
@@ -128,10 +123,7 @@ class Scenario:
                 )
             for p, neighbors in enumerate(self.adjacency):
                 for q in neighbors:
-                    check_int(f"adjacency: process {p}'s neighbour", q, ScenarioError)
-                bad = sorted(q for q in neighbors if not 0 <= q < n)
-                if bad:
-                    raise ScenarioError(f"adjacency: process {p} lists unknown process {bad[0]}")
+                    check_int(f"adjacency: process {p}'s neighbour", q, ScenarioError, 0, n - 1)
 
     def to_dict(self) -> dict[str, Any]:
         return {key: write(getattr(self, attr)) for key, (attr, write, _) in _DICT_FORM.items()}
@@ -165,18 +157,13 @@ class Scenario:
         return hash(self.fingerprint())
 
 
-def _check_type(what: str, value: object, kind, label: str) -> None:
-    if not isinstance(value, kind):
-        raise ScenarioError(f"{what} must be {label}, got {value!r}")
-
-
 def _check_pairs(where: str, pairs, n: int) -> None:
     for (u, v), model in pairs.items():
-        check_int(f"{where}: channel pair process", u, ScenarioError)
-        check_int(f"{where}: channel pair process", v, ScenarioError)
-        if not (0 <= u < n and 0 <= v < n) or u == v:
+        check_int(f"{where}: channel pair process", u, ScenarioError, 0, n - 1)
+        check_int(f"{where}: channel pair process", v, ScenarioError, 0, n - 1)
+        if u == v:
             raise ScenarioError(f"{where}: bad channel pair ({u}, {v})")
-        _check_type(f"{where} ({u}, {v})", model, ChannelModel, "a channel model")
+        check_type(f"{where} ({u}, {v})", model, ChannelModel, "a channel model", ScenarioError)
 
 
 def _entries(d: dict, key_fn, value_fn) -> dict:

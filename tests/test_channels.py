@@ -3,6 +3,7 @@ import random
 import pytest
 
 from mpo.channels import (
+    ChannelSpecError,
     ChannelState,
     DeliverProb,
     DropPattern,
@@ -12,6 +13,7 @@ from mpo.channels import (
     Lossy,
     StronglyNonTimely,
     Timely,
+    model_from_spec,
     model_to_spec,
     read_float,
     schedule_delivery,
@@ -129,6 +131,7 @@ def test_snt_window_lengths_grow():
     lambda: DeliverProb("0.5"),
     lambda: GeneralPropagation(True, 0.5),
     lambda: GeneralPropagation(0.5, "x"),
+    lambda: GeneralPropagation(float("nan"), 0.5),
 ])
 def test_model_parameters_checked_on_construction(build):
     with pytest.raises(ConfigurationError):
@@ -142,6 +145,12 @@ def test_unknown_model_is_a_type_error():
             schedule_delivery(model, alive_pkt(), 0, rng, ChannelState())
         with pytest.raises(TypeError, match="unknown channel model"):
             model_to_spec(model)
+
+
+@pytest.mark.parametrize("spec", [5, None, b"lossy", ["lossy"]])
+def test_a_channel_spec_that_is_not_a_string_is_a_spec_error(spec):
+    with pytest.raises(ChannelSpecError, match="^spec must be a string, got "):
+        model_from_spec(spec)
 
 
 def test_read_float_rejects_an_int_past_the_float_range():

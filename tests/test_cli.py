@@ -563,8 +563,8 @@ BAD_INPUTS = {
 # row -> what stderr names: for the rows of one bad event line, a line not in
 # the writer's form or a field of one that fails its check; for a bad final
 # record, that record; for a file that is not UTF-8, the offset of its first
-# bad byte; for a seed, the seed; for a bad section, key or channel spec of a
-# scenario file, the rule it breaks
+# bad byte; for an argument out of its bounds, the bound rule's message; for a
+# bad section, key or channel spec of a scenario file, the rule it breaks
 EVENT_ERRORS = {
     "topology keyed 1..n": "keyed 0..n-1",
     "scenario key foo": "unknown key 'foo'",
@@ -574,8 +574,14 @@ EVENT_ERRORS = {
     "channel spec timely 3": "expected key=value, got '3'",
     "channel spec timely": "timely needs b=",
     "channel spec fair_lossy without policy": "fair_lossy needs drop= or q=",
-    "mc seed -1": "seed=-1",
-    "sweep seed -1": "seed=-1",
+    "mc seed -1": "seed must be >= 0, got -1",
+    "sweep seed -1": "seed must be >= 0, got -1",
+    "audit cutoff -5": "cutoff must lie in [0, 99], got -5",
+    "audit cutoff past the horizon": "cutoff must lie in [0, 99], got 99999999",
+    "audit window 0": "window must lie in [1, 100], got 0",
+    "sweep n 1": "n must be >= 2, got 1",
+    "stability cap 0": "cap must be >= 1, got 0",
+    "demo horizon 0": "horizon must be >= 1, got 0",
     "scenario file not UTF-8": "not UTF-8 at byte 0",
     "scenario label not UTF-8": "not UTF-8 at byte 50",
     "trace file not UTF-8": "not UTF-8 at byte 0",

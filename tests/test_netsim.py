@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import io
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,8 @@ from mpo.channels import (
     Timely,
     suppression_windows,
 )
-from mpo.core import ConfigurationError, TimerConfig
+from mpo.core import ConfigurationError, TimerConfig, init_state
+from mpo.montecarlo import Mode, exhaustive_existence, mc_multi_hop, mc_single_hop, mc_stability
 from mpo.netsim import (
     GeneralPropagation,
     Scenario,
@@ -345,66 +348,115 @@ class TestGeneralPropagation:
         assert calls.count(None) == sum(isinstance(ev, tr.Drop) for ev in trace.events)
 
 
-# every integer field, built with the value under test: (builder, its error, the
-# least value it takes, or None where no lower bound alone says which it takes)
+@functools.cache
+def _audited_trace() -> tr.Trace:
+    return run(Scenario(n=3, horizon=100))
+
+
+# every integer field and argument, built with the value under test: (builder,
+# its error, the least value it takes, or None where no lower bound alone says
+# which it takes, and the most, or None where it has no upper bound)
 INT_FIELDS = {
-    "n": (lambda v: Scenario(n=v, horizon=100), ScenarioError, 2),
-    "horizon": (lambda v: Scenario(n=3, horizon=v), ScenarioError, 1),
-    "seed": (lambda v: Scenario(n=3, horizon=100, seed=v), ScenarioError, None),
+    "n": (lambda v: Scenario(n=v, horizon=100), ScenarioError, 2, None),
+    "horizon": (lambda v: Scenario(n=3, horizon=v), ScenarioError, 1, None),
+    "seed": (lambda v: Scenario(n=3, horizon=100, seed=v), ScenarioError, None, None),
     "crashed process": (lambda v: Scenario(n=3, horizon=100, crash_schedule={v: 5}),
-                        ScenarioError, 0),
+                        ScenarioError, 0, 2),
     "crash step": (lambda v: Scenario(n=3, horizon=100, crash_schedule={1: v}),
-                   ScenarioError, 1),
+                   ScenarioError, 1, 100),
     "adjacency id": (lambda v: Scenario(n=3, horizon=100, adjacency=(
-        frozenset({v, 1}), frozenset({0}), frozenset({0}))), ScenarioError, 0),
-    "channel pair id": (lambda v: Scenario(n=3, horizon=100, channels={(v, 0): Lossy()}),
-                        ScenarioError, None),
+        frozenset({v, 1}), frozenset({0}), frozenset({0}))), ScenarioError, 0, 2),
+    "channel pair id": (lambda v: Scenario(n=3, horizon=100, channels={(v, 1): Lossy()}),
+                        ScenarioError, 0, 2),
     "channel origin": (lambda v: Scenario(n=3, horizon=100, origin_channels={v: {}}),
-                       ScenarioError, 0),
-    "sender_timeout": (lambda v: TimerConfig(sender_timeout=v), ConfigurationError, 1),
+                       ScenarioError, 0, 2),
+    "sender_timeout": (lambda v: TimerConfig(sender_timeout=v), ConfigurationError, 1, None),
     "initial_receiver_timeout": (lambda v: TimerConfig(initial_receiver_timeout=v),
-                                 ConfigurationError, 1),
-    "timeout_increment": (lambda v: TimerConfig(timeout_increment=v), ConfigurationError, 1),
-    "timely bound": (lambda v: Timely(v), ConfigurationError, 1),
-    "eventually_timely bound": (lambda v: EventuallyTimely(v), ConfigurationError, 1),
-    "eventually_timely until": (lambda v: EventuallyTimely(2, v), ConfigurationError, 0),
-    "drop": (lambda v: DropPattern(v), ConfigurationError, 0),
-    "fair_lossy delay_min": (lambda v: FairLossy(DropPattern(1), v, 8), ConfigurationError, 1),
-    "fair_lossy delay_max": (lambda v: FairLossy(DropPattern(1), 1, v), ConfigurationError, 1),
+                                 ConfigurationError, 1, None),
+    "timeout_increment": (lambda v: TimerConfig(timeout_increment=v), ConfigurationError, 1,
+                          None),
+    "timely bound": (lambda v: Timely(v), ConfigurationError, 1, None),
+    "eventually_timely bound": (lambda v: EventuallyTimely(v), ConfigurationError, 1, None),
+    "eventually_timely until": (lambda v: EventuallyTimely(2, v), ConfigurationError, 0, None),
+    "drop": (lambda v: DropPattern(v), ConfigurationError, 0, None),
+    "fair_lossy delay_min": (lambda v: FairLossy(DropPattern(1), v, 8), ConfigurationError, 1,
+                             None),
+    "fair_lossy delay_max": (lambda v: FairLossy(DropPattern(1), 1, v), ConfigurationError, 1,
+                             None),
     "fair_lossy delay_max == delay_min": (lambda v: FairLossy(DropPattern(1), 2, v),
-                                          ConfigurationError, 2),
-    "burst": (lambda v: StronglyNonTimely(burst=v), ConfigurationError, 1),
-    "window_cap": (lambda v: StronglyNonTimely(burst=1, window_cap=v), ConfigurationError, 1),
+                                          ConfigurationError, 2, None),
+    "burst": (lambda v: StronglyNonTimely(burst=v), ConfigurationError, 1, None),
+    "window_cap": (lambda v: StronglyNonTimely(burst=1, window_cap=v), ConfigurationError, 1,
+                   None),
     "window_cap == burst": (lambda v: StronglyNonTimely(burst=2, window_cap=v),
-                            ConfigurationError, 2),
+                            ConfigurationError, 2, None),
     "strongly_non_timely delay_min": (lambda v: StronglyNonTimely(delay_min=v),
-                                      ConfigurationError, 1),
+                                      ConfigurationError, 1, None),
     "strongly_non_timely delay_max": (lambda v: StronglyNonTimely(delay_max=v),
-                                      ConfigurationError, 1),
+                                      ConfigurationError, 1, None),
     "strongly_non_timely delay_max == delay_min": (
-        lambda v: StronglyNonTimely(delay_min=2, delay_max=v), ConfigurationError, 2),
-    "quiet_until": (lambda v: StronglyNonTimely(quiet_until=v), ConfigurationError, 0),
+        lambda v: StronglyNonTimely(delay_min=2, delay_max=v), ConfigurationError, 2, None),
+    "quiet_until": (lambda v: StronglyNonTimely(quiet_until=v), ConfigurationError, 0, None),
     "propagation bound": (lambda v: GeneralPropagation(0.9, 0.6, bound=v),
-                          ConfigurationError, 1),
+                          ConfigurationError, 1, None),
+    "init_state n": (lambda v: init_state(0, v), ConfigurationError, 2, None),
+    "init_state p": (lambda v: init_state(v, 3), ConfigurationError, 0, 2),
+    "preset n": (lambda v: preset_dependable(v, 1, horizon=100), ScenarioError, 2, None),
+    "preset seed": (lambda v: preset_dependable(3, v, horizon=100), ScenarioError, None, None),
+    "preset leader": (lambda v: preset_dependable(3, 1, v, horizon=100), ScenarioError, 0, 2),
+    "audit cutoff": (lambda v: audit_report(_audited_trace(), cutoff=v), ConfigurationError, 0,
+                     99),
+    "audit window": (lambda v: audit_report(_audited_trace(), window=v), ConfigurationError, 1,
+                     100),
+    "mc n": (lambda v: mc_single_hop(v, 0.5, 10, 1), ConfigurationError, 2, None),
+    "mc trials": (lambda v: mc_multi_hop(3, 0.5, v, 1), ConfigurationError, 1, None),
+    "mc cap": (lambda v: mc_stability(3, 0.5, 10, 1, Mode.MULTI_HOP, cap=v),
+               ConfigurationError, 1, None),
+    "mc seed": (lambda v: mc_single_hop(3, 0.5, 10, v), ConfigurationError, 0, None),
+    "exhaustive_existence n": (lambda v: exhaustive_existence(v, 0.5, Mode.MULTI_HOP),
+                               ConfigurationError, 2, 4),
+    # the parent's version never returns below these bounds: no window has length
+    "suppression_windows burst": (lambda v: suppression_windows(0, 0, 1, v, 8, 100),
+                                  ConfigurationError, 1, None),
+    "suppression_windows cap": (lambda v: suppression_windows(0, 0, 1, 1, v, 100),
+                                ConfigurationError, 1, None),
+    "suppression_windows cap == burst": (lambda v: suppression_windows(0, 0, 1, 2, v, 100),
+                                         ConfigurationError, 2, None),
 }
+
+
+def _bound_message(low, high, value) -> str:
+    """The rule's message for `value` outside [low, high], as a `match` pattern."""
+    bound = f"must be >= {low}" if high is None else f"must lie in [{low}, {high}]"
+    return re.escape(f"{bound}, got {value}")
 
 
 @pytest.mark.parametrize("value", [2.0, True], ids=["float", "bool"])
 @pytest.mark.parametrize("field", INT_FIELDS)
 def test_a_non_int_integer_field_is_rejected(field, value):
     # what a trace file's reader would reject, so no run could be read back
-    build, error, _ = INT_FIELDS[field]
+    build, error, _, _ = INT_FIELDS[field]
     build(2)
     with pytest.raises(error, match="must be an integer"):
         build(value)
 
 
-@pytest.mark.parametrize("field", [f for f, (_, _, low) in INT_FIELDS.items() if low is not None])
+@pytest.mark.parametrize("field", [f for f, (_, _, low, _) in INT_FIELDS.items()
+                                   if low is not None])
 def test_an_int_field_below_its_bound_is_rejected(field):
-    build, error, low = INT_FIELDS[field]
+    build, error, low, high = INT_FIELDS[field]
     build(low)
-    with pytest.raises(error):
+    with pytest.raises(error, match=_bound_message(low, high, low - 1)):
         build(low - 1)
+
+
+@pytest.mark.parametrize("field", [f for f, (_, _, _, high) in INT_FIELDS.items()
+                                   if high is not None])
+def test_an_int_field_above_its_bound_is_rejected(field):
+    build, error, low, high = INT_FIELDS[field]
+    build(high)
+    with pytest.raises(error, match=_bound_message(low, high, high + 1)):
+        build(high + 1)
 
 
 @pytest.mark.parametrize("build, error, match", [
@@ -495,8 +547,10 @@ class TestScenarioPlumbing:
             preset_dependable(4, seed=1, crash_victims=(0,), crash_steps=())
         with pytest.raises(ScenarioError):
             preset_dependable(2, seed=1, crash_victims=(0, 1), crash_steps=(10, 20))
-        with pytest.raises(ScenarioError, match="leader 3 outside"):
+        with pytest.raises(ScenarioError, match=re.escape("leader must lie in [0, 2], got 3")):
             preset_dependable(3, 0, leader=3)
+        with pytest.raises(ScenarioError, match="^leader must be an integer, got True$"):
+            preset_dependable(3, 0, leader=True)
 
     def test_preset_leader_crash_wires_backup_and_reelects(self):
         scn = preset_dependable(5, seed=2, horizon=30_000,
